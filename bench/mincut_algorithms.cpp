@@ -2,16 +2,15 @@
 //
 // The paper's step 7 cites Chekuri et al.'s experimental study of
 // minimum-cut algorithms and uses an O(V^2 sqrt(E)) algorithm. This
-// binary compares our three max-flow implementations (Edmonds-Karp,
-// Dinic, highest-label push-relabel) and the leg D treewidth DP
+// binary compares our two max-flow implementations (Edmonds-Karp and
+// Dinic, the production solver) and the leg D treewidth DP
 // (mincut/TreewidthCut.h) on four input families:
 //
 //   * EFG-shaped networks harvested from compiling generated programs
 //     (small, sparse, a few parallel source edges and infinite sink
 //     edges — the workload MC-SSAPRE actually produces),
 //   * deep chains (the largest-EFG shape: augmenting-path length grows
-//     with the network, so phase-based solvers pay per-phase BFS costs
-//     that push-relabel avoids),
+//     with the network, so phase-based solvers pay per-phase BFS costs),
 //   * dense random networks (the classic stress shape; the treewidth
 //     solver bails out here by design — its width cap refuses them),
 //   * width-4 grids of growing height (leg D's native bounded-treewidth
@@ -88,7 +87,7 @@ FlowNetwork efgShaped(Rng &R, int NumPhis, int NumReals) {
 /// The adversarial largest-EFG shape: a long phi chain with a couple of
 /// real occurrences hanging off each tail segment. Augmenting paths are
 /// as long as the chain, so Edmonds-Karp and Dinic rebuild their BFS
-/// levelings O(depth) times while push-relabel's labels rise once.
+/// levelings O(depth) times.
 FlowNetwork deepChain(Rng &R, int Depth) {
   FlowNetwork Net;
   int S = Net.addNode();
@@ -299,7 +298,7 @@ int runJsonSuite(const std::string &Path, bool Smoke) {
             ",\n     \"algorithms\": {";
     int64_t RefFlow = 0;
     std::vector<int> RefCut;
-    double DinicNs = 0, PrNs = 0;
+    double DinicNs = 0, EkNs = 0;
     for (size_t AI = 0; AI != std::size(AllMaxFlowAlgorithms); ++AI) {
       MaxFlowAlgorithm Algo = AllMaxFlowAlgorithms[AI];
       int64_t Flow = 0;
@@ -322,13 +321,13 @@ int runJsonSuite(const std::string &Path, bool Smoke) {
       }
       if (Algo == MaxFlowAlgorithm::Dinic)
         DinicNs = Ns;
-      if (Algo == MaxFlowAlgorithm::PushRelabel)
-        PrNs = Ns;
+      else
+        EkNs = Ns;
       Json += std::string(AI ? ", " : "") + "\"" +
               maxFlowAlgorithmName(Algo) +
               "\": {\"ns_per_op\": " + std::to_string(Ns) + "}";
     }
-    // Fourth solver: the leg D treewidth DP. It refuses networks whose
+    // Third solver: the leg D treewidth DP. It refuses networks whose
     // decomposition exceeds the width cap (dense_random, by design) —
     // recorded as ns_per_op -1 rather than a disagreement. When it does
     // solve, its capacity must match the max-flow value exactly.
@@ -367,13 +366,13 @@ int runJsonSuite(const std::string &Path, bool Smoke) {
     Json += ", \"treewidth\": {\"ns_per_op\": " + std::to_string(TwNs) + "}";
     char Speed[64];
     std::snprintf(Speed, sizeof(Speed), "%.2f",
-                  PrNs > 0 ? DinicNs / PrNs : 0.0);
+                  TwNs > 0 ? DinicNs / TwNs : 0.0);
     Json += "},\n     \"flow\": " + std::to_string(RefFlow) +
-            ", \"speedup_pr_over_dinic\": " + Speed + "}";
+            ", \"speedup_treewidth_over_dinic\": " + Speed + "}";
     Json += CI + 1 != Cases.size() ? ",\n" : "\n";
-    std::printf("%-12s size %6d: dinic %10.0fns  push-relabel %10.0fns  "
+    std::printf("%-12s size %6d: dinic %10.0fns  edmonds-karp %10.0fns  "
                 "treewidth %10.0fns  (%sx)\n",
-                C.Family, C.Size, DinicNs, PrNs, TwNs, Speed);
+                C.Family, C.Size, DinicNs, EkNs, TwNs, Speed);
   }
   Json += "  ]\n}\n";
 
@@ -402,24 +401,13 @@ BENCHMARK_CAPTURE(BM_EfgShaped, dinic, MaxFlowAlgorithm::Dinic)
     ->Arg(8)
     ->Arg(48)
     ->Arg(400);
-BENCHMARK_CAPTURE(BM_EfgShaped, push_relabel, MaxFlowAlgorithm::PushRelabel)
-    ->Arg(2)
-    ->Arg(8)
-    ->Arg(48)
-    ->Arg(400);
 BENCHMARK_CAPTURE(BM_DeepChain, edmonds_karp, MaxFlowAlgorithm::EdmondsKarp)
     ->Arg(256)
     ->Arg(2048);
 BENCHMARK_CAPTURE(BM_DeepChain, dinic, MaxFlowAlgorithm::Dinic)
     ->Arg(256)
     ->Arg(2048);
-BENCHMARK_CAPTURE(BM_DeepChain, push_relabel, MaxFlowAlgorithm::PushRelabel)
-    ->Arg(256)
-    ->Arg(2048);
 BENCHMARK_CAPTURE(BM_Grid, dinic, MaxFlowAlgorithm::Dinic)
-    ->Arg(64)
-    ->Arg(512);
-BENCHMARK_CAPTURE(BM_Grid, push_relabel, MaxFlowAlgorithm::PushRelabel)
     ->Arg(64)
     ->Arg(512);
 BENCHMARK(BM_GridTreewidthCut)->Arg(64)->Arg(512);
@@ -427,9 +415,6 @@ BENCHMARK_CAPTURE(BM_DenseRandom, edmonds_karp, MaxFlowAlgorithm::EdmondsKarp)
     ->Arg(16)
     ->Arg(64);
 BENCHMARK_CAPTURE(BM_DenseRandom, dinic, MaxFlowAlgorithm::Dinic)
-    ->Arg(16)
-    ->Arg(64);
-BENCHMARK_CAPTURE(BM_DenseRandom, push_relabel, MaxFlowAlgorithm::PushRelabel)
     ->Arg(16)
     ->Arg(64);
 BENCHMARK_CAPTURE(BM_CutExtraction, forward_labeling, CutPlacement::Earliest);

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Max-flow solvers: Edmonds-Karp (BFS augmenting paths), Dinic's
-/// algorithm (level graph + blocking flow), and highest-label
-/// push-relabel (Goldberg-Tarjan) with the gap and global-relabeling
-/// heuristics (mincut/PushRelabel.cpp). The paper uses an
-/// O(V^2 sqrt(E)) algorithm and cites Chekuri et al.'s experimental
-/// study of min-cut algorithms; we implement three so the
-/// mincut_algorithms bench can compare them on EFG-shaped inputs and the
-/// equivalence tests can cross-check them edge for edge.
+/// Max-flow solvers: Dinic's algorithm (level graph + blocking flow),
+/// the production solver, and Edmonds-Karp (BFS augmenting paths), kept
+/// as an independent oracle. The paper uses an O(V^2 sqrt(E)) algorithm
+/// and cites Chekuri et al.'s experimental study of min-cut algorithms;
+/// the mincut_algorithms bench compares the two on EFG-shaped inputs and
+/// the equivalence tests cross-check them edge for edge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,20 +21,20 @@
 
 namespace specpre {
 
-enum class MaxFlowAlgorithm { EdmondsKarp, Dinic, PushRelabel };
+/// The numeric values are part of the compilation-cache key; keep them.
+enum class MaxFlowAlgorithm { EdmondsKarp = 0, Dinic = 1 };
 
-/// Stable machine-readable name ("edmonds-karp", "dinic",
-/// "push-relabel"), used by tool flags and the bench JSON.
+/// Stable machine-readable name ("edmonds-karp", "dinic"), used by tool
+/// flags and the bench JSON.
 const char *maxFlowAlgorithmName(MaxFlowAlgorithm Algo);
 
-/// Inverse of maxFlowAlgorithmName (also accepts "ek" and "pr").
+/// Inverse of maxFlowAlgorithmName (also accepts "ek").
 /// Returns false on an unknown name.
 bool parseMaxFlowAlgorithm(const char *Name, MaxFlowAlgorithm &Out);
 
 /// All implemented algorithms, for test/fuzz matrices.
 constexpr MaxFlowAlgorithm AllMaxFlowAlgorithms[] = {
-    MaxFlowAlgorithm::EdmondsKarp, MaxFlowAlgorithm::Dinic,
-    MaxFlowAlgorithm::PushRelabel};
+    MaxFlowAlgorithm::EdmondsKarp, MaxFlowAlgorithm::Dinic};
 
 /// Runs the chosen max-flow algorithm from \p Source to \p Sink, leaving
 /// the flow in the network's residual capacities. Freezes the network
@@ -49,10 +47,6 @@ constexpr MaxFlowAlgorithm AllMaxFlowAlgorithms[] = {
 /// extracted cuts are identical edge for edge across algorithms.
 int64_t computeMaxFlow(FlowNetwork &Net, int Source, int Sink,
                        MaxFlowAlgorithm Algo = MaxFlowAlgorithm::Dinic);
-
-/// The push-relabel solver (defined in PushRelabel.cpp; dispatched to by
-/// computeMaxFlow). Requires a frozen network.
-int64_t runPushRelabel(FlowNetwork &Net, int Source, int Sink);
 
 } // namespace specpre
 

@@ -35,49 +35,6 @@ namespace {
 const char *RequestHeader = "specpre-serve-request v1";
 const char *ResponseHeader = "specpre-serve-response v1";
 
-/// Flag-spelling names for the wire (strategyName() returns display
-/// names like "MC-SSAPRE"; the protocol reuses the --strategy= values
-/// so a request reads like the command line that produced it).
-const char *strategyFlagName(PreStrategy S) {
-  switch (S) {
-  case PreStrategy::None:
-    return "none";
-  case PreStrategy::SsaPre:
-    return "ssapre";
-  case PreStrategy::SsaPreSpec:
-    return "ssapresp";
-  case PreStrategy::McSsaPre:
-    return "mcssapre";
-  case PreStrategy::McPre:
-    return "mcpre";
-  case PreStrategy::Lcm:
-    return "lcm";
-  case PreStrategy::Lospre:
-    return "lospre";
-  }
-  return "mcssapre";
-}
-
-bool parseStrategyFlag(const std::string &Name, PreStrategy &Out) {
-  if (Name == "none")
-    Out = PreStrategy::None;
-  else if (Name == "ssapre")
-    Out = PreStrategy::SsaPre;
-  else if (Name == "ssapresp")
-    Out = PreStrategy::SsaPreSpec;
-  else if (Name == "mcssapre")
-    Out = PreStrategy::McSsaPre;
-  else if (Name == "mcpre")
-    Out = PreStrategy::McPre;
-  else if (Name == "lcm")
-    Out = PreStrategy::Lcm;
-  else if (Name == "lospre")
-    Out = PreStrategy::Lospre;
-  else
-    return false;
-  return true;
-}
-
 } // namespace
 
 std::string specpre::encodeServeRequest(const ServeRequest &R) {
@@ -264,10 +221,8 @@ bool specpre::decodeServeResponse(const std::string &Payload,
 // Request execution
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void appendRunReport(std::string &Out, const char *Label,
-                     const ExecResult &R) {
+void specpre::appendRunReport(std::string &Out, const char *Label,
+                              const ExecResult &R) {
   char Buf[192];
   std::snprintf(Buf, sizeof(Buf),
                 "%s: ret=%lld computations=%llu cycles=%llu%s%s\n", Label,
@@ -279,11 +234,15 @@ void appendRunReport(std::string &Out, const char *Label,
   Out += Buf;
 }
 
-/// One function of the request, mirroring specpre-opt's processFunction
-/// byte-for-byte on stdout (the bit-identity contract of the daemon).
+namespace {
+
+/// One function of the request: prepare, profile, compile down the
+/// ladder, clean up, emit, then hand the result to \p OnFunction.
 int processServeFunction(Function &F, const ServeRequest &R,
                          ParallelPreDriver &Driver, CompileCache *Cache,
-                         PipelineMetrics *Metrics, ServeResponse &Resp) {
+                         PipelineMetrics *Metrics,
+                         const ServeFunctionHook &OnFunction,
+                         ServeResponse &Resp) {
   prepareFunction(F);
 
   bool NeedsProfile = R.Strategy == PreStrategy::McSsaPre ||
@@ -339,6 +298,8 @@ int processServeFunction(Function &F, const ServeRequest &R,
   CompileOutcomeRecord Outcome;
   Function Optimized =
       Driver.compileFunctionWithFallback(F, PO, Metrics, &Outcome);
+  // Degradations go to stderr so stdout stays bit-identical to a clean
+  // run; ReportOutcomes forces a line even for clean compiles.
   if (Outcome.degraded())
     Resp.Degraded = true;
   if (Outcome.degraded() || R.ReportOutcomes) {
@@ -362,15 +323,18 @@ int processServeFunction(Function &F, const ServeRequest &R,
 
   if (R.Emit)
     Resp.StdoutText += printFunction(Optimized);
-  return 0;
+  if (!OnFunction)
+    return 0;
+  return OnFunction({F, NeedsProfile ? &Prof : nullptr, Optimized, Stats},
+                    Resp);
 }
 
 } // namespace
 
-ServeResponse specpre::processServeRequest(const ServeRequest &R,
-                                           ParallelPreDriver &Driver,
-                                           CompileCache *Cache,
-                                           PipelineMetrics *Metrics) {
+ServeResponse
+specpre::processServeRequest(const ServeRequest &R, ParallelPreDriver &Driver,
+                             CompileCache *Cache, PipelineMetrics *Metrics,
+                             const ServeFunctionHook &OnFunction) {
   ServeResponse Resp;
   Resp.Ok = true;
 
@@ -387,7 +351,8 @@ ServeResponse specpre::processServeRequest(const ServeRequest &R,
     if (!R.OnlyFunction.empty() && F.Name != R.OnlyFunction)
       continue;
     FoundAny = true;
-    if (int Rc = processServeFunction(F, R, Driver, Cache, Metrics, Resp)) {
+    if (int Rc = processServeFunction(F, R, Driver, Cache, Metrics,
+                                      OnFunction, Resp)) {
       Resp.ExitCode = Rc;
       return Resp;
     }
@@ -403,6 +368,24 @@ ServeResponse specpre::processServeRequest(const ServeRequest &R,
 // CompileService: the request queue
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The cache tier a service configuration asks for, shared by the
+/// daemon's own cache and each sandbox worker's disk-only instance.
+CompileCache::Config cacheConfigFor(const CompileService::Config &Cfg) {
+  CompileCache::Config CC;
+  CC.DiskDir = Cfg.CacheDir;
+  CC.MaxEntries = Cfg.CacheMaxEntries;
+  CC.MaxDiskBytes = Cfg.CacheMaxDiskBytes;
+  CC.Durable = Cfg.CacheDurable;
+  CC.BreakerThreshold = Cfg.CacheBreakerThreshold;
+  CC.BreakerCooldownMs = Cfg.CacheBreakerCooldownMs;
+  CC.Mode = Cfg.Mode;
+  return CC;
+}
+
+} // namespace
+
 CompileService::CompileService(const Config &C)
     : Cfg(C), Driver([&] {
         ParallelConfig PC;
@@ -411,17 +394,8 @@ CompileService::CompileService(const Config &C)
       }()) {
   if (Cfg.RequestWorkers == 0)
     Cfg.RequestWorkers = 1;
-  if (Cfg.Mode != CacheMode::Off) {
-    CompileCache::Config CC;
-    CC.DiskDir = Cfg.CacheDir;
-    CC.MaxEntries = Cfg.CacheMaxEntries;
-    CC.MaxDiskBytes = Cfg.CacheMaxDiskBytes;
-    CC.Durable = Cfg.CacheDurable;
-    CC.BreakerThreshold = Cfg.CacheBreakerThreshold;
-    CC.BreakerCooldownMs = Cfg.CacheBreakerCooldownMs;
-    CC.Mode = Cfg.Mode;
-    Cache = std::make_unique<CompileCache>(CC);
-  }
+  if (Cfg.Mode != CacheMode::Off)
+    Cache = std::make_unique<CompileCache>(cacheConfigFor(Cfg));
   Workers.reserve(Cfg.RequestWorkers);
   for (unsigned I = 0; I != Cfg.RequestWorkers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -561,17 +535,8 @@ uint64_t requestQuarantineKey(const std::string &Encoded) {
     PC.Jobs = 1; // post-fork: strictly single-threaded
     ParallelPreDriver Driver(PC);
     std::unique_ptr<CompileCache> Cache;
-    if (Cfg.Mode != CacheMode::Off && !Cfg.CacheDir.empty()) {
-      CompileCache::Config CC;
-      CC.DiskDir = Cfg.CacheDir;
-      CC.MaxEntries = Cfg.CacheMaxEntries;
-      CC.MaxDiskBytes = Cfg.CacheMaxDiskBytes;
-      CC.Durable = Cfg.CacheDurable;
-      CC.BreakerThreshold = Cfg.CacheBreakerThreshold;
-      CC.BreakerCooldownMs = Cfg.CacheBreakerCooldownMs;
-      CC.Mode = Cfg.Mode;
-      Cache = std::make_unique<CompileCache>(CC);
-    }
+    if (Cfg.Mode != CacheMode::Off && !Cfg.CacheDir.empty())
+      Cache = std::make_unique<CompileCache>(cacheConfigFor(Cfg));
     Resp = processServeRequest(Req, Driver, Cache.get(), nullptr);
   }
   (void)writeFrame(Conn, 'R', encodeServeResponse(Resp), 60000);

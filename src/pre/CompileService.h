@@ -17,18 +17,22 @@
 ///  * ServeRequest / ServeResponse — the payload schema of the 'C'/'R'
 ///    frames, encoded with the same checked line codec the cache
 ///    payloads use (support/LineCodec.h). A request is a whole module
-///    plus the exact options surface of specpre-opt's batch mode; the
-///    response carries the tool's stdout/stderr byte-for-byte, which is
-///    what makes the daemon bit-identical to a local run: the client
-///    just replays the streams.
+///    plus the options of specpre-opt that shape its output; the
+///    response carries the streams and the exit code.
+///
+///  * processServeRequest — the one request pipeline. specpre-opt's
+///    local mode, the daemon's request workers and the forked sandbox
+///    worker all run it, so a local run and a daemon run print the same
+///    stdout and stderr and exit with the same code by construction:
+///    the --connect client just replays the streams.
 ///
 ///  * CompileService — the request queue. submit() enqueues and returns
 ///    a future; a small pool of request workers dequeues and runs each
-///    request through ParallelPreDriver::compileFunctionWithFallback
-///    (full degradation ladder, budgets, metrics). Request workers only
-///    orchestrate — per-expression parallelism inside one compile still
-///    comes from the shared ThreadPool, which is safe to drive from
-///    several requests at once.
+///    request through processServeRequest (full degradation ladder,
+///    budgets, metrics). Request workers only orchestrate —
+///    per-expression parallelism inside one compile still comes from
+///    the shared ThreadPool, which is safe to drive from several
+///    requests at once.
 ///
 ///  * ServeServer — the socket front end: accept loop, per-connection
 ///    reader threads, frame dispatch ('P' ping, 'C' compile, 'S' stats),
@@ -40,7 +44,9 @@
 #ifndef SPECPRE_PRE_COMPILESERVICE_H
 #define SPECPRE_PRE_COMPILESERVICE_H
 
+#include "interp/Interpreter.h"
 #include "pre/ParallelDriver.h"
+#include "profile/Profile.h"
 #include "support/CompileCache.h"
 #include "support/Socket.h"
 
@@ -49,6 +55,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -61,8 +68,9 @@
 namespace specpre {
 
 /// One compile request: a module plus the batch-tool options that affect
-/// its output. Mirrors specpre-opt's surface minus the purely local
-/// concerns (file paths, DOT export, fault injection).
+/// its output. specpre-opt parses its command line straight into one;
+/// the purely local concerns (file paths, DOT export, --run, fault
+/// injection) stay in the tool.
 struct ServeRequest {
   std::string ModuleText;
   PreStrategy Strategy = PreStrategy::McSsaPre;
@@ -115,13 +123,34 @@ std::string encodeServeResponse(const ServeResponse &R);
 bool decodeServeResponse(const std::string &Payload, ServeResponse &Out,
                          std::string &Error);
 
-/// Runs \p R exactly as specpre-opt's batch loop would, against the
-/// given driver/cache. The synchronous core of CompileService, exposed
-/// so tests and the bench can assert bit-identity without a socket.
+/// Appends the "<label>: ret=... computations=... cycles=..." line that
+/// reports an interpreter run (the training run, specpre-opt --run).
+void appendRunReport(std::string &Out, const char *Label,
+                     const ExecResult &R);
+
+/// One function of a request after it was compiled and emitted.
+struct ServeFunctionView {
+  const Function &Prepared;  ///< The prepared input (what training ran).
+  const Profile *Prof;       ///< Full profile; null when none was needed.
+  const Function &Optimized; ///< After PRE and the requested cleanups.
+  const PreStats &Stats;     ///< This function's per-expression records.
+};
+
+/// Per-function callback of processServeRequest: appends to the
+/// response's streams and returns an exit code; non-zero stops the
+/// request there, as a failed training run does.
+using ServeFunctionHook =
+    std::function<int(const ServeFunctionView &, ServeResponse &)>;
+
+/// Runs \p R against the given driver/cache: parse, then per function
+/// prepare, profile, compile down the ladder, clean up and emit. The
+/// synchronous core of CompileService and of specpre-opt's local mode;
+/// \p OnFunction carries the tool's local side channels.
 ServeResponse processServeRequest(const ServeRequest &R,
                                   ParallelPreDriver &Driver,
                                   CompileCache *Cache,
-                                  PipelineMetrics *Metrics);
+                                  PipelineMetrics *Metrics,
+                                  const ServeFunctionHook &OnFunction = {});
 
 /// How a request worker runs the compile itself.
 enum class IsolationMode {

@@ -2,279 +2,9 @@
 
 #include "pre/ParallelDriver.h"
 
-#include "analysis/Cfg.h"
-#include "analysis/DomTree.h"
-#include "analysis/Loops.h"
-#include "analysis/TreeDecomposition.h"
-#include "ir/Verifier.h"
-#include "pre/CachedCompile.h"
-#include "pre/CodeMotion.h"
-#include "pre/ExprKey.h"
-#include "pre/Finalize.h"
-#include "pre/Frg.h"
-#include "pre/LexicalDataFlow.h"
-#include "pre/Lospre.h"
-#include "pre/SsaPre.h"
-#include "ssa/SsaConstruction.h"
-#include "support/Budget.h"
-#include "support/CrashContext.h"
-#include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 
-#include <cassert>
-#include <exception>
-
 using namespace specpre;
-
-namespace {
-
-bool isSsaStrategy(PreStrategy S) {
-  return S == PreStrategy::SsaPre || S == PreStrategy::SsaPreSpec ||
-         S == PreStrategy::McSsaPre || S == PreStrategy::Lospre;
-}
-
-/// The analysis half of one expression's PRE, computed against the
-/// pre-motion function, plus the structural fingerprint needed to check
-/// the commit-time FRG still matches.
-struct ExprPlacement {
-  bool HasReals = false;
-  /// Placement decisions, indexed like the FRG they were computed on.
-  std::vector<char> PhiWillBeAvail;
-  std::vector<char> PhiInReducedGraph; ///< needed for SprReloadedFreq stats
-  std::vector<char> OperandInsert; ///< flattened over phis' operands
-  /// Structural fingerprint of the analysis-time FRG.
-  std::vector<BlockId> PhiBlocks;
-  std::vector<unsigned> OperandCounts;
-  unsigned NumReals = 0;
-  /// Partially filled statistics (FRG/EFG sizes; the finalize counts are
-  /// added at commit time, like in the serial driver).
-  ExprStatsRecord Rec;
-};
-
-/// Runs the strategy's placement computation on \p G — the exact switch
-/// the serial driver runs (PreDriver.cpp runSsaStrategies).
-void computePlacementOnFrg(Frg &G, const PreOptions &Opts,
-                           const LexicalDataFlow &LDF, unsigned EI,
-                           const LoopInfo &LI, ExprStatsRecord &Rec) {
-  const ExprKey &E = G.expr();
-  switch (Opts.Strategy) {
-  case PreStrategy::SsaPre:
-    computeSafePlacement(G, LDF, EI, /*LoopSpeculation=*/false, nullptr);
-    break;
-  case PreStrategy::SsaPreSpec:
-    computeSafePlacement(G, LDF, EI, /*LoopSpeculation=*/!E.canFault(), &LI);
-    break;
-  case PreStrategy::McSsaPre: {
-    assert(Opts.Prof && "MC-SSAPRE requires a profile");
-    if (E.canFault()) {
-      computeSafePlacement(G, LDF, EI, false, nullptr);
-      break;
-    }
-    EfgStats ES = computeSpeculativePlacement(G, *Opts.Prof, Opts.Placement,
-                                              Opts.Algo, Opts.Objective);
-    Rec.Speculated = true;
-    Rec.EfgEmpty = ES.Empty;
-    Rec.EfgNodes = ES.NumNodes;
-    Rec.EfgEdges = ES.NumEdges;
-    Rec.CutWeight = ES.CutWeight;
-    Rec.SprWeight = ES.SprWeight;
-    Rec.InsertedWeight = ES.InsertedWeight;
-    Rec.InPlaceWeight = ES.InPlaceWeight;
-    Rec.Saturated = ES.Saturated;
-    break;
-  }
-  case PreStrategy::Lospre: {
-    assert(Opts.Prof && "LOSPRE requires a profile");
-    if (E.canFault()) {
-      computeSafePlacement(G, LDF, EI, false, nullptr);
-      break;
-    }
-    EfgStats ES = computeLosprePlacement(G, *Opts.Prof, Opts.Objective,
-                                         Opts.LospreMaxWidth);
-    Rec.Speculated = true;
-    Rec.EfgEmpty = ES.Empty;
-    Rec.EfgNodes = ES.NumNodes;
-    Rec.EfgEdges = ES.NumEdges;
-    Rec.CutWeight = ES.CutWeight;
-    Rec.SprWeight = ES.SprWeight;
-    Rec.InsertedWeight = ES.InsertedWeight;
-    Rec.InPlaceWeight = ES.InPlaceWeight;
-    Rec.Saturated = ES.Saturated;
-    Rec.LospreWidth = ES.TdWidth;
-    Rec.LospreDpEntries = ES.DpEntries;
-    break;
-  }
-  default:
-    SPECPRE_UNREACHABLE("non-SSA strategy in per-expression pipeline");
-  }
-}
-
-/// Captures \p G's placement decisions and structure into \p P.
-void capturePlacement(const Frg &G, ExprPlacement &P) {
-  P.NumReals = static_cast<unsigned>(G.reals().size());
-  P.PhiWillBeAvail.reserve(G.phis().size());
-  for (const PhiOcc &Phi : G.phis()) {
-    P.PhiBlocks.push_back(Phi.Block);
-    P.OperandCounts.push_back(static_cast<unsigned>(Phi.Operands.size()));
-    P.PhiWillBeAvail.push_back(Phi.WillBeAvail);
-    P.PhiInReducedGraph.push_back(Phi.InReducedGraph);
-    for (const PhiOperand &Op : Phi.Operands)
-      P.OperandInsert.push_back(Op.Insert);
-  }
-}
-
-/// Transfers the precomputed decisions onto a freshly rebuilt FRG.
-/// Returns false (leaving \p G untouched) if the rebuild is not
-/// structurally identical to the analysis-time FRG — the caller then
-/// recomputes the placement serially.
-bool transferPlacement(Frg &G, const ExprPlacement &P) {
-  if (G.reals().size() != P.NumReals ||
-      G.phis().size() != P.PhiBlocks.size())
-    return false;
-  for (unsigned I = 0; I != G.phis().size(); ++I)
-    if (G.phis()[I].Block != P.PhiBlocks[I] ||
-        G.phis()[I].Operands.size() != P.OperandCounts[I])
-      return false;
-  unsigned Flat = 0;
-  for (unsigned I = 0; I != G.phis().size(); ++I) {
-    PhiOcc &Phi = G.phis()[I];
-    Phi.WillBeAvail = P.PhiWillBeAvail[I];
-    Phi.InReducedGraph = P.PhiInReducedGraph[I];
-    for (PhiOperand &Op : Phi.Operands)
-      Op.Insert = P.OperandInsert[Flat++];
-  }
-  return true;
-}
-
-/// The parallel counterpart of runSsaStrategies: analyses fan out over
-/// \p Pool against the pre-motion function, transformations commit
-/// serially in candidate order. Output (IR mutations, stats records,
-/// fresh-variable numbering) is bit-identical to the serial driver.
-void runSsaStrategiesParallel(Function &F, const PreOptions &Opts,
-                              ThreadPool &Pool, PipelineMetrics *Metrics) {
-  assert(F.IsSSA && "SSA strategies require SSA form");
-  Cfg C(F);
-  DomTree DT = DomTree::buildDominators(C);
-  LoopInfo LI(C, DT);
-  // Leg D's whole-function reducibility gate, mirroring the serial
-  // driver: bail out before the per-expression fan-out so the ladder
-  // retries the whole function on MC-SSAPRE.
-  if (Opts.Strategy == PreStrategy::Lospre && !isReducibleCfg(C, DT)) {
-    if (Metrics)
-      ++Metrics->lospre().Bailouts;
-    throw StatusException(ErrorCode::ResourceLimit,
-                          "LOSPRE requires a reducible CFG");
-  }
-
-  std::vector<ExprKey> Exprs;
-  LexicalDataFlow LDF;
-  std::vector<ExprPlacement> Placements;
-  std::vector<PipelineMetrics> MetricShards;
-  {
-    MetricsScope Scope(Metrics);
-    Exprs = collectCandidateExprs(F);
-    LDF = solveLexicalDataFlow(F, C, Exprs);
-  }
-  Placements.resize(Exprs.size());
-  MetricShards.resize(Exprs.size());
-
-  // Analysis phase: every candidate's FRG build and placement (the
-  // min-cut hot path) runs concurrently against the shared, still
-  // unmutated F. All inputs (F, C, DT, LI, LDF, profile) are const.
-  // The function's budget tracker (thread-local by scope) is re-installed
-  // per invocation so pool threads share the calling thread's budget; a
-  // throwing analysis is contained by the pool and rethrown to the
-  // caller, where the ladder catches it.
-  BudgetTracker *Budget = currentBudget();
-  Pool.parallelFor(Exprs.size(), [&](size_t EI) {
-    BudgetScope BScope(Budget);
-    MetricsScope Scope(Metrics ? &MetricShards[EI] : nullptr);
-    ExprPlacement &P = Placements[EI];
-    Frg G(F, C, DT, Exprs[EI]);
-    if (G.reals().empty())
-      return;
-    P.HasReals = true;
-    P.Rec.Expr = Exprs[EI].toString(F);
-    P.Rec.FunctionName = F.Name;
-    P.Rec.ExprIndex = static_cast<unsigned>(EI);
-    P.Rec.FrgPhis = static_cast<unsigned>(G.phis().size());
-    P.Rec.FrgReals = static_cast<unsigned>(G.reals().size());
-    computePlacementOnFrg(G, Opts, LDF, static_cast<unsigned>(EI), LI,
-                          P.Rec);
-    capturePlacement(G, P);
-  });
-  if (Metrics)
-    for (const PipelineMetrics &Shard : MetricShards)
-      Metrics->merge(Shard);
-
-  // Commit phase: serial, in candidate order, exactly as the serial
-  // driver would transform. The FRG is rebuilt against the current F
-  // (earlier commits shifted statement indices); the placement is
-  // transferred, not recomputed.
-  MetricsScope Scope(Metrics);
-  for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
-    ExprPlacement &P = Placements[EI];
-    if (!P.HasReals)
-      continue;
-    const ExprKey &E = Exprs[EI];
-    Frg G(F, C, DT, E);
-    if (!transferPlacement(G, P))
-      // Structure changed under code motion — cannot happen for distinct
-      // candidate keys (docs/PARALLELISM.md), but recomputing here keeps
-      // the commit correct and serial-identical even if it ever did.
-      computePlacementOnFrg(G, Opts, LDF, EI, LI, P.Rec);
-
-    ExprStatsRecord Rec = std::move(P.Rec);
-    FinalizePlan Plan = finalizePlacement(G);
-    for (const RealOcc &R : G.reals()) {
-      Rec.NumReloads += R.Reload;
-      Rec.NumSaves += R.Save;
-      if (Opts.Prof && R.Reload) {
-        uint64_t Freq = Opts.Prof->blockFreq(R.Block);
-        Rec.ReloadedFreq += Freq;
-        if (!R.RgExcluded && R.Def.isPhi() && G.phiOf(R.Def).InReducedGraph)
-          Rec.SprReloadedFreq += Freq;
-      }
-    }
-    for (const TempDef &D : Plan.TempDefs) {
-      if (!D.Live)
-        continue;
-      if (D.K == TempDef::Kind::Phi)
-        ++Rec.NumTempPhis;
-      if (D.K == TempDef::Kind::Insert) {
-        ++Rec.NumInsertions;
-        if (Opts.Prof)
-          Rec.InsertedFreq += Opts.Prof->blockFreq(D.Block);
-      }
-    }
-
-    if (Plan.hasAnyEffect()) {
-      VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
-      applyCodeMotion(F, G, Plan, Temp);
-      if (Opts.Verify) {
-        std::string Error;
-        if (!verifyFunction(F, Error))
-          throw StatusException(ErrorCode::VerifyFailed,
-                                std::string("IR verification failed after "
-                                            "parallel PRE of '") +
-                                    E.toString(F) + "' with " +
-                                    strategyName(Opts.Strategy) + ": " +
-                                    Error);
-        std::vector<std::pair<ExprKey, VarId>> TempMap{{E, Temp}};
-        if (!checkReloadsFullyAvailable(F, TempMap, Error))
-          throw StatusException(
-              ErrorCode::VerifyFailed,
-              "Definition-1 correctness violated by parallel " +
-                  std::string(strategyName(Opts.Strategy)) + ": " + Error);
-      }
-    }
-
-    if (Opts.Stats)
-      Opts.Stats->addRecord(std::move(Rec));
-  }
-}
-
-} // namespace
 
 ParallelPreDriver::ParallelPreDriver(const ParallelConfig &Config)
     : Config(Config) {
@@ -292,124 +22,13 @@ unsigned ParallelPreDriver::jobs() const { return Config.Jobs; }
 Function ParallelPreDriver::compileFunction(const Function &Prepared,
                                             const PreOptions &Opts,
                                             PipelineMetrics *Metrics) {
-  assert(!Prepared.IsSSA && "compileFunction expects prepared non-SSA input");
-  Function F = Prepared;
-  // Per-function budget, installed on the calling thread for the serial
-  // path and the commit phase; the analysis fan-out re-installs it on
-  // pool threads (runSsaStrategiesParallel).
-  BudgetTracker Tracker(Opts.Budget);
-  BudgetScope Scope(Opts.Budget.unlimited() ? nullptr : &Tracker);
-  if (isSsaStrategy(Opts.Strategy)) {
-    {
-      MetricsScope MScope(Metrics);
-      constructSsa(F);
-    }
-    if (Pool && Config.ParallelExpressions) {
-      runSsaStrategiesParallel(F, Opts, *Pool, Metrics);
-      return F;
-    }
-  }
-  MetricsScope MScope(Metrics);
-  runPre(F, Opts);
-  return F;
+  return compileWithPre(Prepared, Opts, Pool.get(), Metrics);
 }
 
 Function ParallelPreDriver::compileFunctionWithFallback(
     const Function &Prepared, const PreOptions &Opts, PipelineMetrics *Metrics,
     CompileOutcomeRecord *OutcomeOut) {
-  bool Replayed = false;
-  Function F = compileThroughCache(
-      Prepared, Opts, OutcomeOut,
-      [&](const Function &P, const PreOptions &O, CompileOutcomeRecord *Out) {
-        return compileFunctionWithFallbackUncached(P, O, Metrics, Out);
-      },
-      &Replayed);
-  // A replayed hit is a compiled function the ladder never saw; keep the
-  // robustness counters identical to what the cold run reported (hits
-  // replay only non-degraded compiles, so no other counter moves).
-  if (Replayed && Metrics)
-    ++Metrics->robustness().FunctionsCompiled;
-  return F;
-}
-
-Function ParallelPreDriver::compileFunctionWithFallbackUncached(
-    const Function &Prepared, const PreOptions &Opts, PipelineMetrics *Metrics,
-    CompileOutcomeRecord *OutcomeOut) {
-  CrashContext FnFrame("function", Prepared.Name);
-  CompileOutcomeRecord Outcome;
-  Outcome.FunctionName = Prepared.Name;
-  Outcome.Requested = strategyName(Opts.Strategy);
-
-  // Fast path: the requested strategy, parallel expression fan-out and
-  // all, with this rung's statistics isolated so a failed attempt leaves
-  // nothing behind.
-  Status Failure = Status::ok();
-  try {
-    CrashContext RungFrame("strategy", strategyName(Opts.Strategy));
-    PreOptions TopOpts = Opts;
-    TopOpts.VerifyErrorOut = nullptr;
-    PreStats TopStats;
-    TopOpts.Stats = Opts.Stats ? &TopStats : nullptr;
-    Function F = compileFunction(Prepared, TopOpts, Metrics);
-    Failure = checkObservableEquivalence(Prepared, F, Opts);
-    if (Failure.isOk()) {
-      Outcome.Used = Outcome.Requested;
-      if (Opts.Stats) {
-        for (const ExprStatsRecord &R : TopStats.records())
-          Opts.Stats->addRecord(R);
-        Opts.Stats->addOutcome(Outcome);
-      }
-      if (OutcomeOut)
-        *OutcomeOut = Outcome;
-      if (Metrics)
-        ++Metrics->robustness().FunctionsCompiled;
-      return F;
-    }
-  } catch (const StatusException &E) {
-    Failure = E.status();
-  } catch (const std::exception &E) {
-    // A non-Status exception escaping a worker (bad_alloc, logic_error)
-    // is contained the same way; only signals/aborts remain fatal.
-    Failure = Status::error(ErrorCode::WorkerFailed, E.what());
-  }
-
-  Outcome.Cause = errorCodeName(Failure.code());
-  Outcome.Message = Failure.message();
-
-  // Degrade: walk the remaining rungs serially (deterministic and
-  // allocation-light — the expensive strategy already failed once).
-  std::vector<PreStrategy> Ladder = degradationLadder(Opts.Strategy);
-  Function F = Prepared;
-  if (Ladder.size() > 1) {
-    PreOptions FallbackOpts = Opts;
-    FallbackOpts.Strategy = Ladder[1];
-    FallbackOpts.VerifyErrorOut = nullptr;
-    PreStats InnerStats;
-    FallbackOpts.Stats = Opts.Stats ? &InnerStats : nullptr;
-    CompileOutcomeRecord Inner;
-    F = compileWithFallback(Prepared, FallbackOpts, &Inner);
-    Outcome.Used = Inner.Used;
-    Outcome.Retries = 1 + Inner.Retries;
-    if (Opts.Stats)
-      for (const ExprStatsRecord &R : InnerStats.records())
-        Opts.Stats->addRecord(R);
-  } else {
-    Outcome.Used = strategyName(PreStrategy::None);
-    Outcome.Retries = 1;
-  }
-
-  if (Opts.Stats)
-    Opts.Stats->addOutcome(Outcome);
-  if (OutcomeOut)
-    *OutcomeOut = Outcome;
-  if (Metrics) {
-    RobustnessCounters &R = Metrics->robustness();
-    ++R.FunctionsCompiled;
-    ++R.FunctionsDegraded;
-    R.LadderRetries += Outcome.Retries;
-    ++R.WorkerFailures;
-  }
-  return F;
+  return compileWithFallback(Prepared, Opts, OutcomeOut, Pool.get(), Metrics);
 }
 
 std::vector<Function>

@@ -14,21 +14,13 @@
 ///    order, so the merged records equal the serial sequence exactly;
 ///
 ///  * expression level — within one function, the per-expression
-///    placement analyses (FRG build, data flow, reduction, min cut /
-///    DownSafety) run concurrently against the *pre-motion* function,
-///    and the transformations are then committed serially in candidate
-///    order. This is sound because distinct candidate expressions have
-///    independent FRGs: code motion for one key only introduces fresh
-///    temporaries, copies and phis of those temporaries, and never adds,
-///    removes or re-kills occurrences of another key (see
-///    docs/PARALLELISM.md for the argument). The commit phase re-derives
-///    each FRG against the current function (statement indices shift as
-///    earlier commits insert saves and reloads), checks it is
-///    structurally unchanged, and transfers the precomputed
-///    WillBeAvail/Insert decisions onto it; if the structure ever
-///    differed, it falls back to recomputing the placement serially —
-///    the exact serial pipeline — so the output is bit-identical to
-///    runPre in all cases.
+///    placement analyses run concurrently against the pre-motion
+///    function and are committed serially in candidate order. That is
+///    the one PRE driver (runPre in pre/PreDriver.h) handed this
+///    driver's pool; docs/PARALLELISM.md argues why it is sound.
+///
+/// With Jobs=1 there is no pool and the driver is exactly the serial
+/// pipeline.
 ///
 /// The determinism guarantee — `--jobs=N` produces bit-identical IR and
 /// PreStats to `--jobs=1` — is asserted over the generated corpus by
@@ -53,9 +45,6 @@ struct ParallelConfig {
   /// Total worker count (the calling thread included); 1 = serial,
   /// 0 = one worker per hardware thread.
   unsigned Jobs = 1;
-  /// Also fan out the per-expression placement analyses within each
-  /// function (MC-SSAPRE's min-cut work is the compile-time hot path).
-  bool ParallelExpressions = true;
 };
 
 /// One function's compilation request for compileCorpus.
@@ -71,22 +60,15 @@ public:
 
   unsigned jobs() const;
 
-  /// Parallel equivalent of compileWithPre: per-expression fan-out for
-  /// the SSA strategies, serial otherwise. Stats go to Opts.Stats as in
-  /// the serial driver. \p Metrics, when set, receives the pipeline
-  /// step timings of this compile.
+  /// compileWithPre over this driver's pool. \p Metrics, when set,
+  /// receives the pipeline step timings of this compile.
   Function compileFunction(const Function &Prepared, const PreOptions &Opts,
                            PipelineMetrics *Metrics = nullptr);
 
-  /// Fault-isolated compileFunction: attempts the requested strategy
-  /// (parallel fast path when enabled) under Opts.Budget; any recoverable
-  /// failure — injected fault, budget exhaustion, verification failure,
-  /// contained worker exception — degrades serially down the ladder
-  /// (see degradationLadder), ending at the identity rung. Never throws
-  /// a pipeline error and never loses the function. With no failure the
-  /// result, stats and metrics are bit-identical to compileFunction.
-  /// The outcome is recorded in Opts.Stats and \p OutcomeOut (when set),
-  /// and the robustness counters of \p Metrics are updated.
+  /// compileWithFallback over this driver's pool: the degradation
+  /// ladder, the cache protocol and the robustness counters of
+  /// \p Metrics. With no failure the result, stats and metrics are
+  /// bit-identical to compileFunction.
   Function
   compileFunctionWithFallback(const Function &Prepared, const PreOptions &Opts,
                               PipelineMetrics *Metrics = nullptr,
@@ -106,14 +88,6 @@ public:
                                       PipelineMetrics *Metrics = nullptr);
 
 private:
-  /// The fault-isolation ladder itself, cache-oblivious; the public
-  /// compileFunctionWithFallback wraps it in the cache protocol
-  /// (pre/CachedCompile.h) when Opts.Cache is set.
-  Function compileFunctionWithFallbackUncached(const Function &Prepared,
-                                               const PreOptions &Opts,
-                                               PipelineMetrics *Metrics,
-                                               CompileOutcomeRecord *OutcomeOut);
-
   ParallelConfig Config;
   std::unique_ptr<ThreadPool> Pool;
 };

@@ -20,34 +20,59 @@
 #include "pre/McPre.h"
 #include "pre/McSsaPre.h"
 #include "pre/SsaPre.h"
-#include "support/PassTimer.h"
 #include "interp/Interpreter.h"
 #include "ssa/SsaConstruction.h"
 #include "support/CrashContext.h"
 #include "support/Diagnostics.h"
+#include "support/ThreadPool.h"
 
 #include <cassert>
+#include <exception>
 
 using namespace specpre;
 
-const char *specpre::strategyName(PreStrategy S) {
-  switch (S) {
-  case PreStrategy::None:
-    return "none";
-  case PreStrategy::SsaPre:
-    return "SSAPRE";
-  case PreStrategy::SsaPreSpec:
-    return "SSAPREsp";
-  case PreStrategy::McSsaPre:
-    return "MC-SSAPRE";
-  case PreStrategy::McPre:
-    return "MC-PRE";
-  case PreStrategy::Lcm:
-    return "LCM";
-  case PreStrategy::Lospre:
-    return "LOSPRE";
-  }
+namespace {
+
+/// The one strategy-name table: the display name (stats, outcomes) and
+/// the --strategy= / wire spelling of every strategy.
+struct StrategyNames {
+  PreStrategy Strategy;
+  const char *Display;
+  const char *Flag;
+};
+
+constexpr StrategyNames StrategyTable[] = {
+    {PreStrategy::None, "none", "none"},
+    {PreStrategy::SsaPre, "SSAPRE", "ssapre"},
+    {PreStrategy::SsaPreSpec, "SSAPREsp", "ssapresp"},
+    {PreStrategy::McSsaPre, "MC-SSAPRE", "mcssapre"},
+    {PreStrategy::McPre, "MC-PRE", "mcpre"},
+    {PreStrategy::Lcm, "LCM", "lcm"},
+    {PreStrategy::Lospre, "LOSPRE", "lospre"},
+};
+
+const StrategyNames &namesOf(PreStrategy S) {
+  for (const StrategyNames &N : StrategyTable)
+    if (N.Strategy == S)
+      return N;
   SPECPRE_UNREACHABLE("bad strategy");
+}
+
+} // namespace
+
+const char *specpre::strategyName(PreStrategy S) { return namesOf(S).Display; }
+
+const char *specpre::strategyFlagName(PreStrategy S) {
+  return namesOf(S).Flag;
+}
+
+bool specpre::parseStrategyFlag(const std::string &Name, PreStrategy &Out) {
+  for (const StrategyNames &N : StrategyTable)
+    if (Name == N.Flag) {
+      Out = N.Strategy;
+      return true;
+    }
+  return false;
 }
 
 void specpre::prepareFunction(Function &F) {
@@ -100,7 +125,168 @@ void gateLospreReducibility(const Cfg &C, const DomTree &DT) {
                         "LOSPRE requires a reducible CFG");
 }
 
-void runSsaStrategies(Function &F, const PreOptions &Opts) {
+/// Starts \p G's statistics record and runs the strategy's placement on
+/// it: the one per-expression placement switch of the SSA legs.
+ExprStatsRecord computePlacement(const Function &F, Frg &G, unsigned EI,
+                                 const PreOptions &Opts,
+                                 const LexicalDataFlow &LDF,
+                                 const LoopInfo &LI) {
+  const ExprKey &E = G.expr();
+  ExprStatsRecord Rec;
+  Rec.Expr = E.toString(F);
+  Rec.FunctionName = F.Name;
+  Rec.ExprIndex = EI;
+  Rec.FrgPhis = static_cast<unsigned>(G.phis().size());
+  Rec.FrgReals = static_cast<unsigned>(G.reals().size());
+
+  const bool Speculate = Opts.Strategy == PreStrategy::McSsaPre ||
+                         Opts.Strategy == PreStrategy::Lospre;
+  if (Opts.Strategy == PreStrategy::SsaPre || (Speculate && E.canFault())) {
+    // Faulting computations cannot be speculated (paper Section 2): the
+    // speculative legs fall back to the safe placement for them.
+    computeSafePlacement(G, LDF, EI, /*LoopSpeculation=*/false, nullptr);
+    return Rec;
+  }
+  if (Opts.Strategy == PreStrategy::SsaPreSpec) {
+    computeSafePlacement(G, LDF, EI, /*LoopSpeculation=*/!E.canFault(), &LI);
+    return Rec;
+  }
+  assert(Speculate && "non-SSA strategy in the per-expression pipeline");
+  assert(Opts.Prof && "the speculative legs require a profile");
+  EfgStats ES = Opts.Strategy == PreStrategy::Lospre
+                    ? computeLosprePlacement(G, *Opts.Prof, Opts.Objective,
+                                             Opts.LospreMaxWidth)
+                    : computeSpeculativePlacement(G, *Opts.Prof,
+                                                  Opts.Placement, Opts.Algo,
+                                                  Opts.Objective);
+  Rec.Speculated = true;
+  Rec.EfgEmpty = ES.Empty;
+  Rec.EfgNodes = ES.NumNodes;
+  Rec.EfgEdges = ES.NumEdges;
+  Rec.CutWeight = ES.CutWeight;
+  Rec.SprWeight = ES.SprWeight;
+  Rec.InsertedWeight = ES.InsertedWeight;
+  Rec.InPlaceWeight = ES.InPlaceWeight;
+  Rec.Saturated = ES.Saturated;
+  Rec.LospreWidth = ES.TdWidth;
+  Rec.LospreDpEntries = ES.DpEntries;
+  return Rec;
+}
+
+/// One expression's placement, computed on the pool against the
+/// pre-motion function, plus the structural fingerprint that the commit
+/// step checks before transferring it onto the rebuilt FRG.
+struct ExprPlacement {
+  bool HasReals = false;
+  ExprStatsRecord Rec; ///< finalize counts are added at commit time
+  /// Placement decisions, indexed like the FRG they were computed on.
+  std::vector<char> PhiWillBeAvail;
+  std::vector<char> PhiInReducedGraph; ///< needed for SprReloadedFreq stats
+  std::vector<char> OperandInsert;     ///< flattened over phis' operands
+  std::vector<BlockId> PhiBlocks;
+  std::vector<unsigned> OperandCounts;
+  unsigned NumReals = 0;
+};
+
+void capturePlacement(const Frg &G, ExprPlacement &P) {
+  P.NumReals = static_cast<unsigned>(G.reals().size());
+  for (const PhiOcc &Phi : G.phis()) {
+    P.PhiBlocks.push_back(Phi.Block);
+    P.OperandCounts.push_back(static_cast<unsigned>(Phi.Operands.size()));
+    P.PhiWillBeAvail.push_back(Phi.WillBeAvail);
+    P.PhiInReducedGraph.push_back(Phi.InReducedGraph);
+    for (const PhiOperand &Op : Phi.Operands)
+      P.OperandInsert.push_back(Op.Insert);
+  }
+}
+
+/// Transfers the precomputed decisions onto the FRG rebuilt at commit
+/// time. Returns false, leaving \p G untouched, if the rebuild is not
+/// structurally identical to the analysis-time FRG; the caller then
+/// recomputes the placement, as the serial order would.
+bool transferPlacement(Frg &G, const ExprPlacement &P) {
+  if (G.reals().size() != P.NumReals ||
+      G.phis().size() != P.PhiBlocks.size())
+    return false;
+  for (unsigned I = 0; I != G.phis().size(); ++I)
+    if (G.phis()[I].Block != P.PhiBlocks[I] ||
+        G.phis()[I].Operands.size() != P.OperandCounts[I])
+      return false;
+  unsigned Flat = 0;
+  for (unsigned I = 0; I != G.phis().size(); ++I) {
+    PhiOcc &Phi = G.phis()[I];
+    Phi.WillBeAvail = P.PhiWillBeAvail[I];
+    Phi.InReducedGraph = P.PhiInReducedGraph[I];
+    for (PhiOperand &Op : Phi.Operands)
+      Op.Insert = P.OperandInsert[Flat++];
+  }
+  return true;
+}
+
+/// Commits one placed expression: finalize, the finalize-time
+/// statistics, code motion, then the Verifier and the Definition-1
+/// check. Returns false when a verification failure was reported
+/// through Opts.VerifyErrorOut (F is then in an undefined state).
+bool commitPlacement(Function &F, Frg &G, unsigned EI, ExprStatsRecord Rec,
+                     const PreOptions &Opts) {
+  FinalizePlan Plan = finalizePlacement(G);
+  for (const RealOcc &R : G.reals()) {
+    Rec.NumReloads += R.Reload;
+    Rec.NumSaves += R.Save;
+    if (Opts.Prof && R.Reload) {
+      uint64_t Freq = Opts.Prof->blockFreq(R.Block);
+      Rec.ReloadedFreq += Freq;
+      // An SPR occurrence: one that participated in the EFG (its
+      // defining Φ survived graph reduction). Only those are covered
+      // by the min-cut reconciliation identities.
+      if (!R.RgExcluded && R.Def.isPhi() && G.phiOf(R.Def).InReducedGraph)
+        Rec.SprReloadedFreq += Freq;
+    }
+  }
+  for (const TempDef &D : Plan.TempDefs) {
+    if (!D.Live)
+      continue;
+    if (D.K == TempDef::Kind::Phi)
+      ++Rec.NumTempPhis;
+    if (D.K == TempDef::Kind::Insert) {
+      ++Rec.NumInsertions;
+      if (Opts.Prof)
+        Rec.InsertedFreq += Opts.Prof->blockFreq(D.Block);
+    }
+  }
+
+  if (Plan.hasAnyEffect()) {
+    const ExprKey &E = G.expr();
+    VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
+    applyCodeMotion(F, G, Plan, Temp);
+    if (Opts.Verify) {
+      if (!verifyOrReport(F, Opts,
+                          std::string("after PRE of '") + E.toString(F) +
+                              "' with " + strategyName(Opts.Strategy)))
+        return false;
+      std::vector<std::pair<ExprKey, VarId>> TempMap{{E, Temp}};
+      std::string Error;
+      if (!checkReloadsFullyAvailable(F, TempMap, Error))
+        return reportOracleFailure(
+            Opts, "Definition-1 correctness violated by " +
+                      std::string(strategyName(Opts.Strategy)) + ": " +
+                      Error);
+    }
+  }
+
+  if (Opts.Stats)
+    Opts.Stats->addRecord(std::move(Rec));
+  return true;
+}
+
+/// The SSA legs over one function, in candidate order. Without a pool,
+/// each candidate's FRG is built once and its placement committed right
+/// away. With one, every placement is first computed concurrently
+/// against the pre-motion function (phase A), then each FRG is rebuilt
+/// against the current function and the placement transferred onto it
+/// before the same commit (docs/PARALLELISM.md). Either way the IR, the
+/// statistics and the fresh-variable numbering are the same.
+void runSsaStrategies(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
   assert(F.IsSSA && "SSA strategies require SSA form");
   Cfg C(F);
   DomTree DT = DomTree::buildDominators(C);
@@ -114,138 +300,64 @@ void runSsaStrategies(Function &F, const PreOptions &Opts) {
   // so it is computed once up front for all candidates.
   LexicalDataFlow LDF = solveLexicalDataFlow(F, C, Exprs);
 
+  std::vector<ExprPlacement> Placements;
+  if (Pool) {
+    // Phase A: all inputs (F, C, DT, LI, LDF, profile) are const here.
+    // Pool threads re-install the function's budget and write metrics
+    // into per-expression shards; a throwing analysis is contained by
+    // the pool and rethrown here, where the ladder catches it.
+    Placements.resize(Exprs.size());
+    PipelineMetrics *Metrics = currentMetricsSink();
+    std::vector<PipelineMetrics> Shards(Metrics ? Exprs.size() : 0);
+    BudgetTracker *Budget = currentBudget();
+    Pool->parallelFor(Exprs.size(), [&](size_t EI) {
+      BudgetScope BScope(Budget);
+      MetricsScope MScope(Metrics ? &Shards[EI] : nullptr);
+      Frg G(F, C, DT, Exprs[EI]);
+      if (G.reals().empty())
+        return;
+      ExprPlacement &P = Placements[EI];
+      P.HasReals = true;
+      CrashContext ExprFrame("expression", Exprs[EI].toString(F));
+      P.Rec = computePlacement(F, G, static_cast<unsigned>(EI), Opts, LDF, LI);
+      capturePlacement(G, P);
+    });
+    for (const PipelineMetrics &Shard : Shards)
+      Metrics->merge(Shard);
+  }
+
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
-    const ExprKey &E = Exprs[EI];
-    Frg G(F, C, DT, E);
+    if (Pool && !Placements[EI].HasReals)
+      continue;
+    Frg G(F, C, DT, Exprs[EI]);
     if (G.reals().empty())
       continue;
-
-    ExprStatsRecord Rec;
-    Rec.Expr = E.toString(F);
-    CrashContext ExprFrame("expression", Rec.Expr);
-    Rec.FunctionName = F.Name;
-    Rec.ExprIndex = EI;
-    Rec.FrgPhis = static_cast<unsigned>(G.phis().size());
-    Rec.FrgReals = static_cast<unsigned>(G.reals().size());
-
-    switch (Opts.Strategy) {
-    case PreStrategy::SsaPre:
-      computeSafePlacement(G, LDF, EI, /*LoopSpeculation=*/false, nullptr);
-      break;
-    case PreStrategy::SsaPreSpec:
-      computeSafePlacement(G, LDF, EI,
-                           /*LoopSpeculation=*/!E.canFault(), &LI);
-      break;
-    case PreStrategy::McSsaPre: {
-      assert(Opts.Prof && "MC-SSAPRE requires a profile");
-      if (E.canFault()) {
-        // Faulting computations cannot be speculated (paper Section 2):
-        // fall back to the safe placement for this expression.
-        computeSafePlacement(G, LDF, EI, false, nullptr);
-        break;
-      }
-      EfgStats ES =
-          computeSpeculativePlacement(G, *Opts.Prof, Opts.Placement,
-                                      Opts.Algo, Opts.Objective);
-      Rec.Speculated = true;
-      Rec.EfgEmpty = ES.Empty;
-      Rec.EfgNodes = ES.NumNodes;
-      Rec.EfgEdges = ES.NumEdges;
-      Rec.CutWeight = ES.CutWeight;
-      Rec.SprWeight = ES.SprWeight;
-      Rec.InsertedWeight = ES.InsertedWeight;
-      Rec.InPlaceWeight = ES.InPlaceWeight;
-      Rec.Saturated = ES.Saturated;
-      break;
-    }
-    case PreStrategy::Lospre: {
-      assert(Opts.Prof && "LOSPRE requires a profile");
-      if (E.canFault()) {
-        computeSafePlacement(G, LDF, EI, false, nullptr);
-        break;
-      }
-      EfgStats ES = computeLosprePlacement(G, *Opts.Prof, Opts.Objective,
-                                           Opts.LospreMaxWidth);
-      Rec.Speculated = true;
-      Rec.EfgEmpty = ES.Empty;
-      Rec.EfgNodes = ES.NumNodes;
-      Rec.EfgEdges = ES.NumEdges;
-      Rec.CutWeight = ES.CutWeight;
-      Rec.SprWeight = ES.SprWeight;
-      Rec.InsertedWeight = ES.InsertedWeight;
-      Rec.InPlaceWeight = ES.InPlaceWeight;
-      Rec.Saturated = ES.Saturated;
-      Rec.LospreWidth = ES.TdWidth;
-      Rec.LospreDpEntries = ES.DpEntries;
-      break;
-    }
-    default:
-      SPECPRE_UNREACHABLE("non-SSA strategy in runSsaStrategies");
-    }
-
-    FinalizePlan Plan = finalizePlacement(G);
-    for (const RealOcc &R : G.reals()) {
-      Rec.NumReloads += R.Reload;
-      Rec.NumSaves += R.Save;
-      if (Opts.Prof && R.Reload) {
-        uint64_t Freq = Opts.Prof->blockFreq(R.Block);
-        Rec.ReloadedFreq += Freq;
-        // An SPR occurrence: one that participated in the EFG (its
-        // defining Φ survived graph reduction). Only those are covered
-        // by the min-cut reconciliation identities.
-        if (!R.RgExcluded && R.Def.isPhi() && G.phiOf(R.Def).InReducedGraph)
-          Rec.SprReloadedFreq += Freq;
-      }
-    }
-    for (const TempDef &D : Plan.TempDefs) {
-      if (!D.Live)
-        continue;
-      if (D.K == TempDef::Kind::Phi)
-        ++Rec.NumTempPhis;
-      if (D.K == TempDef::Kind::Insert) {
-        ++Rec.NumInsertions;
-        if (Opts.Prof)
-          Rec.InsertedFreq += Opts.Prof->blockFreq(D.Block);
-      }
-    }
-
-    if (Plan.hasAnyEffect()) {
-      VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
-      applyCodeMotion(F, G, Plan, Temp);
-      if (Opts.Verify) {
-        if (!verifyOrReport(F, Opts,
-                            std::string("after PRE of '") + E.toString(F) +
-                                "' with " + strategyName(Opts.Strategy)))
-          return;
-        std::vector<std::pair<ExprKey, VarId>> TempMap{{E, Temp}};
-        std::string Error;
-        if (!checkReloadsFullyAvailable(F, TempMap, Error)) {
-          reportOracleFailure(Opts,
-                              "Definition-1 correctness violated by " +
-                                  std::string(strategyName(Opts.Strategy)) +
-                                  ": " + Error);
-          return;
-        }
-      }
-    }
-
-    if (Opts.Stats)
-      Opts.Stats->addRecord(std::move(Rec));
+    CrashContext ExprFrame("expression", Exprs[EI].toString(F));
+    // Distinct candidate keys keep their FRG structure under each
+    // other's code motion (docs/PARALLELISM.md); should a transfer ever
+    // fail anyway, recomputing keeps the commit serial-identical.
+    ExprStatsRecord Rec =
+        Pool && transferPlacement(G, Placements[EI])
+            ? std::move(Placements[EI].Rec)
+            : computePlacement(F, G, EI, Opts, LDF, LI);
+    if (!commitPlacement(F, G, EI, std::move(Rec), Opts))
+      return;
   }
+}
+
+bool isSsaStrategy(PreStrategy S) {
+  return S == PreStrategy::SsaPre || S == PreStrategy::SsaPreSpec ||
+         S == PreStrategy::McSsaPre || S == PreStrategy::Lospre;
 }
 
 } // namespace
 
-void specpre::runPre(Function &F, const PreOptions &Opts) {
+void specpre::runPre(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
+  if (isSsaStrategy(Opts.Strategy)) {
+    runSsaStrategies(F, Opts, Pool);
+    return;
+  }
   switch (Opts.Strategy) {
-  case PreStrategy::None:
-    return;
-  case PreStrategy::SsaPre:
-  case PreStrategy::SsaPreSpec:
-  case PreStrategy::McSsaPre:
-  case PreStrategy::Lospre:
-    runSsaStrategies(F, Opts);
-    return;
   case PreStrategy::McPre: {
     assert(Opts.Prof && "MC-PRE requires a profile");
     Profile EdgeProf = Opts.Prof->HasEdgeFreqs
@@ -261,30 +373,25 @@ void specpre::runPre(Function &F, const PreOptions &Opts) {
     if (Opts.Verify)
       verifyOrReport(F, Opts, "after LCM");
     return;
+  default:
+    return;
   }
-  SPECPRE_UNREACHABLE("bad strategy");
 }
 
 Function specpre::compileWithPre(const Function &Prepared,
-                                 const PreOptions &Opts) {
+                                 const PreOptions &Opts, ThreadPool *Pool,
+                                 PipelineMetrics *Metrics) {
   assert(!Prepared.IsSSA && "compileWithPre expects prepared non-SSA input");
+  // A fresh budget per call: each ladder rung gets the full budget, so a
+  // cheap fallback is not starved by the attempt that preceded it.
+  BudgetTracker Tracker(Opts.Budget);
+  BudgetScope BScope(Opts.Budget.unlimited() ? nullptr : &Tracker);
+  MetricsScope MScope(Metrics);
   Function F = Prepared;
-  if (Opts.Strategy == PreStrategy::SsaPre ||
-      Opts.Strategy == PreStrategy::SsaPreSpec ||
-      Opts.Strategy == PreStrategy::McSsaPre ||
-      Opts.Strategy == PreStrategy::Lospre)
+  if (isSsaStrategy(Opts.Strategy))
     constructSsa(F);
-  runPre(F, Opts);
+  runPre(F, Opts, Pool);
   return F;
-}
-
-Status specpre::runPreChecked(Function &F, const PreOptions &Opts) {
-  try {
-    runPre(F, Opts);
-    return Status::ok();
-  } catch (const StatusException &E) {
-    return E.status();
-  }
 }
 
 std::vector<PreStrategy> specpre::degradationLadder(PreStrategy Requested) {
@@ -335,7 +442,9 @@ namespace {
 /// compileWithFallback wraps it in the cache protocol.
 Function compileWithFallbackUncached(const Function &Prepared,
                                      const PreOptions &Opts,
-                                     CompileOutcomeRecord *OutcomeOut) {
+                                     CompileOutcomeRecord *OutcomeOut,
+                                     ThreadPool *Pool,
+                                     PipelineMetrics *Metrics) {
   assert(!Prepared.IsSSA &&
          "compileWithFallback expects prepared non-SSA input");
   CrashContext FnFrame("function", Prepared.Name);
@@ -343,9 +452,10 @@ Function compileWithFallbackUncached(const Function &Prepared,
   CompileOutcomeRecord Outcome;
   Outcome.FunctionName = Prepared.Name;
   Outcome.Requested = strategyName(Opts.Strategy);
-
-  const bool Budgeted = !Opts.Budget.unlimited();
-  BudgetTracker Tracker(Opts.Budget);
+  // Only reached if every rung failed, which cannot happen: the None
+  // rung runs no pass code and has no fault sites.
+  Outcome.Used = strategyName(PreStrategy::None);
+  Function Result = Prepared;
 
   for (PreStrategy Rung : degradationLadder(Opts.Strategy)) {
     CrashContext RungFrame("strategy", strategyName(Rung));
@@ -360,25 +470,23 @@ Function compileWithFallbackUncached(const Function &Prepared,
 
     Status Failure = Status::ok();
     try {
-      // Each rung gets the full budget: a cheap fallback must not be
-      // starved by the expensive attempt that preceded it.
-      Tracker.reset();
-      BudgetScope Scope(Budgeted ? &Tracker : nullptr);
-      Function F = compileWithPre(Prepared, RungOpts);
+      Function F = compileWithPre(Prepared, RungOpts, Pool, Metrics);
       Failure = checkObservableEquivalence(Prepared, F, Opts);
       if (Failure.isOk()) {
         Outcome.Used = strategyName(Rung);
-        if (Opts.Stats) {
+        if (Opts.Stats)
           for (const ExprStatsRecord &R : RungStats.records())
             Opts.Stats->addRecord(R);
-          Opts.Stats->addOutcome(Outcome);
-        }
-        if (OutcomeOut)
-          *OutcomeOut = Outcome;
-        return F;
+        Result = std::move(F);
+        break;
       }
     } catch (const StatusException &E) {
       Failure = E.status();
+    } catch (const std::exception &E) {
+      // A non-Status exception (bad_alloc, logic_error), on the calling
+      // thread or rethrown from a pool worker, is contained the same
+      // way; only signals and aborts remain fatal.
+      Failure = Status::error(ErrorCode::WorkerFailed, E.what());
     }
     if (Outcome.Cause.empty()) {
       Outcome.Cause = errorCodeName(Failure.code());
@@ -387,21 +495,40 @@ Function compileWithFallbackUncached(const Function &Prepared,
     ++Outcome.Retries;
   }
 
-  // Unreachable in practice: the None rung runs no pass code and has no
-  // fault sites, so it cannot fail. Return the input unchanged anyway.
-  Outcome.Used = strategyName(PreStrategy::None);
   if (Opts.Stats)
     Opts.Stats->addOutcome(Outcome);
   if (OutcomeOut)
     *OutcomeOut = Outcome;
-  return Prepared;
+  if (Metrics) {
+    RobustnessCounters &R = Metrics->robustness();
+    ++R.FunctionsCompiled;
+    if (Outcome.degraded()) {
+      ++R.FunctionsDegraded;
+      R.LadderRetries += Outcome.Retries;
+      ++R.WorkerFailures;
+    }
+  }
+  return Result;
 }
 
 } // namespace
 
 Function specpre::compileWithFallback(const Function &Prepared,
                                       const PreOptions &Opts,
-                                      CompileOutcomeRecord *OutcomeOut) {
-  return compileThroughCache(Prepared, Opts, OutcomeOut,
-                             compileWithFallbackUncached);
+                                      CompileOutcomeRecord *OutcomeOut,
+                                      ThreadPool *Pool,
+                                      PipelineMetrics *Metrics) {
+  bool Replayed = false;
+  Function F = compileThroughCache(
+      Prepared, Opts, OutcomeOut,
+      [&](const Function &P, const PreOptions &O, CompileOutcomeRecord *Out) {
+        return compileWithFallbackUncached(P, O, Out, Pool, Metrics);
+      },
+      &Replayed);
+  // A replayed hit is a compiled function the ladder never saw; keep the
+  // robustness counters identical to what the cold run reported (hits
+  // replay only non-degraded compiles, so no other counter moves).
+  if (Replayed && Metrics)
+    ++Metrics->robustness().FunctionsCompiled;
+  return F;
 }

@@ -33,6 +33,7 @@
 #include "pre/PreStats.h"
 #include "profile/Profile.h"
 #include "support/Budget.h"
+#include "support/PassTimer.h"
 #include "support/Status.h"
 
 #include <string>
@@ -41,6 +42,7 @@
 namespace specpre {
 
 class CompileCache;
+class ThreadPool;
 
 enum class PreStrategy {
   None,       ///< No PRE at all (sanity baseline).
@@ -54,7 +56,14 @@ enum class PreStrategy {
               ///< bails out to MC-SSAPRE on irreducible or wide CFGs.
 };
 
+/// Display name ("MC-SSAPRE"), used in statistics and outcome records.
 const char *strategyName(PreStrategy S);
+
+/// The --strategy= and wire spelling ("mcssapre") of \p S.
+const char *strategyFlagName(PreStrategy S);
+
+/// Inverse of strategyFlagName; false on an unknown spelling.
+bool parseStrategyFlag(const std::string &Name, PreStrategy &Out);
 
 struct PreOptions {
   PreStrategy Strategy = PreStrategy::McSsaPre;
@@ -97,11 +106,10 @@ struct PreOptions {
   /// time and table memory). Only consulted when Strategy == Lospre;
   /// part of the compilation cache key there.
   unsigned LospreMaxWidth = 8;
-  /// Content-addressed compilation cache consulted by the fallback
-  /// drivers (serial compileWithFallback and the parallel driver's
-  /// compileFunctionWithFallback); see pre/CachedCompile.h for the
-  /// protocol and docs/CACHING.md for the design. Null (the default)
-  /// compiles uncached.
+  /// Content-addressed compilation cache consulted by
+  /// compileWithFallback; see pre/CachedCompile.h for the protocol and
+  /// docs/CACHING.md for the design. Null (the default) compiles
+  /// uncached.
   CompileCache *Cache = nullptr;
 };
 
@@ -113,18 +121,24 @@ void prepareFunction(Function &F);
 /// Runs the selected PRE strategy over a prepared function. For the SSA
 /// strategies, \p F must already be in SSA form (see constructSsa); for
 /// McPre it must not be. Mutates F in place.
-void runPre(Function &F, const PreOptions &Opts);
+///
+/// This is the one PRE driver. Without \p Pool, each candidate
+/// expression is analysed and committed in turn, building its FRG once.
+/// With a pool, the SSA legs first compute every candidate's placement
+/// concurrently against the pre-motion function, then commit them in
+/// candidate order; the output is bit-identical either way
+/// (docs/PARALLELISM.md). Step timings go to the thread's MetricsScope
+/// sink; pool threads write into shards merged into it.
+void runPre(Function &F, const PreOptions &Opts, ThreadPool *Pool = nullptr);
 
-/// Convenience: takes a *prepared, non-SSA* function, builds SSA if the
-/// strategy requires it, and runs PRE. Returns the optimized function,
-/// leaving the input untouched.
-Function compileWithPre(const Function &Prepared, const PreOptions &Opts);
-
-/// Recoverable variant of runPre: catches StatusException from the
-/// pipeline (injected faults, budget exhaustion, recoverable internal
-/// errors) and returns it as a Status. On error \p F is in an undefined
-/// state and must be discarded.
-Status runPreChecked(Function &F, const PreOptions &Opts);
+/// Takes a *prepared, non-SSA* function, builds SSA if the strategy
+/// requires it, and runs PRE under a fresh tracker for Opts.Budget.
+/// Returns the optimized function, leaving the input untouched. Step
+/// timings go to \p Metrics (installed as the MetricsScope for the
+/// call; null suspends collection).
+Function compileWithPre(const Function &Prepared, const PreOptions &Opts,
+                        ThreadPool *Pool = nullptr,
+                        PipelineMetrics *Metrics = currentMetricsSink());
 
 /// The retry sequence compileWithFallback walks when \p Requested fails,
 /// most capable first, ending in PreStrategy::None (the identity rung,
@@ -151,12 +165,20 @@ Status checkObservableEquivalence(const Function &Prepared,
 /// EquivalenceInputs is set, interpreter equivalence with the input)
 /// passes. Never fails: the identity rung returns the input unchanged.
 ///
+/// Any exception other than StatusException is contained as
+/// ErrorCode::WorkerFailed on every rung; only signals stay fatal.
+///
 /// The outcome (rung used, retries, first failure) is written to
 /// \p OutcomeOut when non-null and recorded in Opts.Stats when set.
 /// Partial statistics of abandoned rungs are discarded, so with no
 /// degradation the stats stream is identical to compileWithPre's.
+/// Every rung runs through compileWithPre with \p Pool and \p Metrics;
+/// \p Metrics also receives the robustness counters. Goes through the
+/// compilation cache when Opts.Cache is set (pre/CachedCompile.h).
 Function compileWithFallback(const Function &Prepared, const PreOptions &Opts,
-                             CompileOutcomeRecord *OutcomeOut = nullptr);
+                             CompileOutcomeRecord *OutcomeOut = nullptr,
+                             ThreadPool *Pool = nullptr,
+                             PipelineMetrics *Metrics = currentMetricsSink());
 
 } // namespace specpre
 

@@ -1,7 +1,7 @@
 //===- tests/maxflow_equivalence_test.cpp - Cross-solver equivalence -----------===//
 //
 // Property tests asserting that every max-flow algorithm (Edmonds-Karp,
-// Dinic, push-relabel) is interchangeable: equal flow values,
+// Dinic) is interchangeable: equal flow values,
 // verifyMinCut-valid cuts, and — because the earliest/latest residual
 // cuts are properties of the residual graph, which every maximum flow
 // shares — identical cut edge lists. Exercised on three network
@@ -174,7 +174,7 @@ TEST(MaxFlowEquivalence, LongChain) {
   expectSolversAgree(Net, S, T, "long chain");
   Net.resetFlow();
   MinCutResult Cut = computeMinCut(Net, S, T, CutPlacement::Earliest,
-                                   MaxFlowAlgorithm::PushRelabel);
+                                   MaxFlowAlgorithm::Dinic);
   EXPECT_EQ(Cut.Capacity, 3);
   ASSERT_EQ(Cut.CutEdgeIds.size(), 1u);
 }
@@ -198,7 +198,7 @@ TEST(MaxFlowEquivalence, StarWithMixedCapacities) {
   expectSolversAgree(Net, S, T, "star");
   Net.resetFlow();
   MinCutResult Cut = computeMinCut(Net, S, T, CutPlacement::Latest,
-                                   MaxFlowAlgorithm::PushRelabel);
+                                   MaxFlowAlgorithm::Dinic);
   EXPECT_EQ(Cut.Capacity, ExpectFlow);
 }
 
@@ -216,7 +216,7 @@ TEST(MaxFlowEquivalence, SaturatedParallelPathsStayFinite) {
   expectSolversAgree(Net, S, T, "saturated parallel paths");
   Net.resetFlow();
   MinCutResult Cut = computeMinCut(Net, S, T, CutPlacement::Earliest,
-                                   MaxFlowAlgorithm::PushRelabel);
+                                   MaxFlowAlgorithm::Dinic);
   EXPECT_EQ(Cut.Capacity, 4 * MaxFiniteCapacity);
   EXPECT_LT(Cut.Capacity, InfiniteCapacity);
 }
@@ -236,7 +236,7 @@ TEST(MaxFlowEquivalence, ZeroCapacityEdgesAreInert) {
   expectSolversAgree(Net, S, T, "zero-capacity edges");
   Net.resetFlow();
   MinCutResult Cut = computeMinCut(Net, S, T, CutPlacement::Earliest,
-                                   MaxFlowAlgorithm::PushRelabel);
+                                   MaxFlowAlgorithm::Dinic);
   EXPECT_EQ(Cut.Capacity, 5);
 }
 

@@ -1,9 +1,9 @@
 //===- tests/parallel_driver_test.cpp - Parallel pipeline determinism ----------===//
 //
 // The determinism differential battery for the parallel PRE pipeline:
-// the whole generated corpus runs through the serial reference pipeline
-// (compileWithPre — untouched by the parallel driver) and through
-// ParallelPreDriver at --jobs=4, and the outputs must match
+// the whole generated corpus runs through the serial pipeline
+// (compileWithPre without a pool: analysis and commit interleaved) and
+// through ParallelPreDriver at --jobs=4, and the outputs must match
 // bit-identically — printed IR, interpreter dynamic counts, and the
 // merged PreStats record sequence — for all six strategies. Plus unit
 // tests of the work-stealing ThreadPool itself.
@@ -144,7 +144,7 @@ TEST_P(ParallelDifferential, BitIdenticalToSerialOnCorpus) {
   PreStrategy Strategy = GetParam();
   std::vector<CorpusProgram> Corpus = buildCorpus();
 
-  // Serial reference: the unmodified PreDriver pipeline, function by
+  // Serial reference: the pool-less PreDriver pipeline, function by
   // function, shards stamped and merged like any corpus driver would.
   std::vector<std::string> SerialIr;
   std::vector<Function> SerialFns;
@@ -265,7 +265,7 @@ TEST(ParallelDriver, MetricsInvocationCountsMatchSerial) {
     return Counts;
   };
 
-  // jobs=1 routes through the serial runPre (one FRG build per
+  // jobs=1 runs the driver without a pool (one FRG build per
   // expression); jobs=4 analyses and then commits (two builds per
   // expression with reals, one for real-less candidates) — so the
   // placement-step counts must match exactly and the FRG counts must

@@ -91,7 +91,7 @@ std::string tempSocketPath(const char *Tag) {
 TEST(ServeProtocol, RequestRoundTripsExactly) {
   ServeRequest R = basicRequest();
   R.Placement = CutPlacement::Earliest;
-  R.Algo = MaxFlowAlgorithm::PushRelabel;
+  R.Algo = MaxFlowAlgorithm::EdmondsKarp;
   R.Objective = CutObjective::speedThenSize();
   R.Budget.DeadlineMillis = 1234;
   R.Budget.MaxGraphNodes = 77;
@@ -161,6 +161,7 @@ TEST(ServeProtocol, MalformedRequestPayloadsAreDiagnosed) {
       {"specpre-serve-request v1\nwidget 1\nir %\n", "unknown directive"},
       {"specpre-serve-request v1\nir %zz\n", "ir"},
       {"specpre-serve-request v1\nflags 1 0 1\nir %\n", "flags"},
+      {"specpre-serve-request v1\nalgo push-relabel\nir %\n", "algo"},
   };
   for (const Case &C : Cases) {
     ServeRequest R;

@@ -11,6 +11,7 @@
 //     --train=<a,b,...>     arguments for the profile-collection run
 //     --run=<a,b,...>       interpret the result and report costs
 //     --placement=<latest|earliest>   min-cut tie-breaking
+//     --mincut-algo=<dinic|ek>        max-flow solver (default dinic)
 //     --cleanup             run constant folding / copy prop / DCE after
 //     --gvn                 run dominator-scoped value numbering after
 //     --out-of-ssa          lower phis to copies (backend-ready output)
@@ -45,8 +46,9 @@
 //                           entries, report, exit (no input file needed)
 //     --connect=PATH        client mode: send the compile to a running
 //                           specpre-serve daemon at this socket instead
-//                           of compiling locally; stdout is bit-identical
-//                           to a local run (docs/SERVING.md). Flags that
+//                           of compiling locally; stdout, stderr and the
+//                           exit code match a local run (docs/SERVING.md),
+//                           which runs the same processServeRequest. Flags that
 //                           only make sense locally (--dot-*, --run,
 //                           --stats, --profile-out, --metrics-out,
 //                           --inject-faults, --cache*, --jobs) are
@@ -67,32 +69,28 @@
 
 #include "analysis/Cfg.h"
 #include "analysis/DomTree.h"
-#include "interp/Interpreter.h"
-#include "ir/Parser.h"
-#include "ir/Printer.h"
-#include "opt/Cleanup.h"
-#include "opt/ValueNumbering.h"
 #include "pre/CompileService.h"
 #include "pre/DotExport.h"
 #include "pre/ParallelDriver.h"
-#include "pre/PreDriver.h"
 #include "ssa/SsaConstruction.h"
-#include "ssa/SsaDestruction.h"
 #include "support/CompileCache.h"
 #include "support/CrashContext.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace specpre;
@@ -100,29 +98,18 @@ using namespace specpre;
 namespace {
 
 struct ToolOptions {
-  PreStrategy Strategy = PreStrategy::McSsaPre;
-  std::optional<std::vector<int64_t>> TrainArgs;
+  /// Everything that shapes the output: the request both modes run.
+  ServeRequest Req;
   std::optional<std::vector<int64_t>> RunArgs;
-  CutPlacement Placement = CutPlacement::Latest;
-  MaxFlowAlgorithm Algo = MaxFlowAlgorithm::Dinic;
-  CutObjective Objective = CutObjective::speed();
-  bool Cleanup = false;
-  bool Gvn = false;
-  bool OutOfSsa = false;
   bool Stats = false;
-  bool Emit = true;
   std::string DotCfgPath;    ///< write the prepared CFG as DOT
   std::string DotFrgPath;    ///< write annotated FRGs as DOT
   std::string ProfileOutPath; ///< persist the training profile
   std::string ProfileInPath;  ///< reuse a persisted profile, skip training
   std::string MetricsOutPath; ///< write pipeline step timings as JSON
-  std::string OnlyFunction;
   std::string InputPath;
   unsigned Jobs = 1; ///< PRE pipeline workers; 0 = hardware concurrency
-  CompileBudget Budget;     ///< per-function resource limits
-  unsigned LospreMaxWidth = 8; ///< leg D treewidth budget
   std::string InjectFaults; ///< fault-injection spec ("" = disabled)
-  bool ReportOutcomes = false; ///< report ladder outcome per function
   std::string CacheDir;        ///< on-disk cache directory ("" = memory-only)
   std::optional<CacheMode> Cache; ///< unset = on iff --cache-dir given
   bool CacheDurable = false;   ///< fsync-before-rename disk publishes
@@ -149,11 +136,31 @@ std::optional<std::vector<int64_t>> parseIntList(const std::string &S) {
   return Out;
 }
 
+/// Parses the value of a numeric flag, diagnosing a bad one.
+template <typename T>
+bool parseNumberFlag(const char *Flag, const std::string &V, T &Out) {
+  try {
+    if constexpr (std::is_signed_v<T>) {
+      long long N = std::stoll(V);
+      if (N < std::numeric_limits<T>::min() ||
+          N > std::numeric_limits<T>::max())
+        throw std::out_of_range(Flag);
+      Out = static_cast<T>(N);
+    } else {
+      Out = static_cast<T>(std::stoull(V));
+    }
+    return true;
+  } catch (...) {
+    std::fprintf(stderr, "error: bad %s value '%s'\n", Flag, V.c_str());
+    return false;
+  }
+}
+
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--strategy=S] [--train=a,b,...] [--run=a,b,...]\n"
                "          [--placement=latest|earliest] "
-               "[--mincut-algo=dinic|ek|pr]\n"
+               "[--mincut-algo=dinic|ek]\n"
                "          [--lospre-max-width=N]\n"
                "          [--cleanup] [--stats]\n"
                "          [--objective=speed|size|speed-then-size] [--no-emit]\n"
@@ -171,6 +178,7 @@ int usage(const char *Argv0) {
 }
 
 bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
+  ServeRequest &Req = Opts.Req;
   for (int I = 1; I != Argc; ++I) {
     std::string A = Argv[I];
     auto Value = [&](const char *Prefix) -> std::optional<std::string> {
@@ -180,27 +188,13 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       return std::nullopt;
     };
     if (auto V = Value("--strategy=")) {
-      if (*V == "ssapre")
-        Opts.Strategy = PreStrategy::SsaPre;
-      else if (*V == "ssapresp")
-        Opts.Strategy = PreStrategy::SsaPreSpec;
-      else if (*V == "mcssapre")
-        Opts.Strategy = PreStrategy::McSsaPre;
-      else if (*V == "mcpre")
-        Opts.Strategy = PreStrategy::McPre;
-      else if (*V == "lospre")
-        Opts.Strategy = PreStrategy::Lospre;
-      else if (*V == "lcm")
-        Opts.Strategy = PreStrategy::Lcm;
-      else if (*V == "none")
-        Opts.Strategy = PreStrategy::None;
-      else {
+      if (!parseStrategyFlag(*V, Req.Strategy)) {
         std::fprintf(stderr, "error: unknown strategy '%s'\n", V->c_str());
         return false;
       }
     } else if (auto V = Value("--train=")) {
-      Opts.TrainArgs = parseIntList(*V);
-      if (!Opts.TrainArgs) {
+      Req.TrainArgs = parseIntList(*V);
+      if (!Req.TrainArgs) {
         std::fprintf(stderr, "error: bad --train list\n");
         return false;
       }
@@ -212,27 +206,27 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       }
     } else if (auto V = Value("--placement=")) {
       if (*V == "latest")
-        Opts.Placement = CutPlacement::Latest;
+        Req.Placement = CutPlacement::Latest;
       else if (*V == "earliest")
-        Opts.Placement = CutPlacement::Earliest;
+        Req.Placement = CutPlacement::Earliest;
       else {
         std::fprintf(stderr, "error: bad --placement\n");
         return false;
       }
     } else if (auto V = Value("--mincut-algo=")) {
-      if (!parseMaxFlowAlgorithm(V->c_str(), Opts.Algo)) {
+      if (!parseMaxFlowAlgorithm(V->c_str(), Req.Algo)) {
         std::fprintf(stderr,
-                     "error: bad --mincut-algo (want dinic, "
-                     "edmonds-karp/ek or push-relabel/pr)\n");
+                     "error: bad --mincut-algo (want dinic or "
+                     "edmonds-karp/ek)\n");
         return false;
       }
     } else if (auto V = Value("--objective=")) {
       if (*V == "speed")
-        Opts.Objective = CutObjective::speed();
+        Req.Objective = CutObjective::speed();
       else if (*V == "size")
-        Opts.Objective = CutObjective::size();
+        Req.Objective = CutObjective::size();
       else if (*V == "speed-then-size")
-        Opts.Objective = CutObjective::speedThenSize();
+        Req.Objective = CutObjective::speedThenSize();
       else {
         std::fprintf(stderr, "error: bad --objective\n");
         return false;
@@ -251,71 +245,33 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       Opts.ConnectPath = *V;
     } else if (auto V = Value("--timeout-ms=")) {
       Opts.RetryFlagsGiven = true;
-      try {
-        Opts.TimeoutMs = std::stoi(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --timeout-ms value '%s'\n",
-                     V->c_str());
+      if (!parseNumberFlag("--timeout-ms", *V, Opts.TimeoutMs))
         return false;
-      }
     } else if (auto V = Value("--retries=")) {
       Opts.RetryFlagsGiven = true;
-      try {
-        Opts.Retries = static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --retries value '%s'\n",
-                     V->c_str());
+      if (!parseNumberFlag("--retries", *V, Opts.Retries))
         return false;
-      }
     } else if (auto V = Value("--retry-seed=")) {
       Opts.RetryFlagsGiven = true;
-      try {
-        Opts.RetrySeed = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --retry-seed value '%s'\n",
-                     V->c_str());
+      if (!parseNumberFlag("--retry-seed", *V, Opts.RetrySeed))
         return false;
-      }
     } else if (auto V = Value("--jobs=")) {
       Opts.JobsGiven = true;
-      try {
-        Opts.Jobs = static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --jobs value '%s'\n", V->c_str());
+      if (!parseNumberFlag("--jobs", *V, Opts.Jobs))
         return false;
-      }
     } else if (auto V = Value("--budget-ms=")) {
-      try {
-        Opts.Budget.DeadlineMillis = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --budget-ms value '%s'\n",
-                     V->c_str());
+      if (!parseNumberFlag("--budget-ms", *V, Req.Budget.DeadlineMillis))
         return false;
-      }
     } else if (auto V = Value("--max-augmentations=")) {
-      try {
-        Opts.Budget.MaxFlowAugmentations = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --max-augmentations value '%s'\n",
-                     V->c_str());
+      if (!parseNumberFlag("--max-augmentations", *V,
+                           Req.Budget.MaxFlowAugmentations))
         return false;
-      }
     } else if (auto V = Value("--max-graph-nodes=")) {
-      try {
-        Opts.Budget.MaxGraphNodes = std::stoull(*V);
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --max-graph-nodes value '%s'\n",
-                     V->c_str());
+      if (!parseNumberFlag("--max-graph-nodes", *V, Req.Budget.MaxGraphNodes))
         return false;
-      }
     } else if (auto V = Value("--lospre-max-width=")) {
-      try {
-        Opts.LospreMaxWidth = static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
-        std::fprintf(stderr, "error: bad --lospre-max-width value '%s'\n",
-                     V->c_str());
+      if (!parseNumberFlag("--lospre-max-width", *V, Req.LospreMaxWidth))
         return false;
-      }
     } else if (auto V = Value("--inject-faults=")) {
       Opts.InjectFaults = *V;
     } else if (auto V = Value("--cache-dir=")) {
@@ -344,19 +300,19 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
     } else if (A == "--cache-scrub") {
       Opts.CacheScrub = true;
     } else if (A == "--report-outcomes") {
-      Opts.ReportOutcomes = true;
+      Req.ReportOutcomes = true;
     } else if (A == "--cleanup") {
-      Opts.Cleanup = true;
+      Req.Cleanup = true;
     } else if (A == "--gvn") {
-      Opts.Gvn = true;
+      Req.Gvn = true;
     } else if (A == "--out-of-ssa") {
-      Opts.OutOfSsa = true;
+      Req.OutOfSsa = true;
     } else if (A == "--stats") {
       Opts.Stats = true;
     } else if (A == "--no-emit") {
-      Opts.Emit = false;
+      Req.Emit = false;
     } else if (auto V = Value("--function=")) {
-      Opts.OnlyFunction = *V;
+      Req.OnlyFunction = *V;
     } else if (!A.empty() && A[0] == '-') {
       std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
       return false;
@@ -374,149 +330,104 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
   return !Opts.InputPath.empty();
 }
 
-void reportRun(const char *Label, const ExecResult &R) {
-  std::printf("%s: ret=%lld computations=%llu cycles=%llu%s%s\n", Label,
-              static_cast<long long>(R.ReturnValue),
-              static_cast<unsigned long long>(R.DynamicComputations),
-              static_cast<unsigned long long>(R.Cycles),
-              R.Trapped ? " [TRAPPED]" : "",
-              R.TimedOut ? " [TIMED OUT]" : "");
+std::optional<std::string> readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    return std::nullopt;
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
 }
 
-int processFunction(Function &F, const ToolOptions &Opts,
-                    ParallelPreDriver &Driver, PipelineMetrics *Metrics,
-                    CompileCache *Cache) {
-  prepareFunction(F);
-
-  bool NeedsProfile = Opts.Strategy == PreStrategy::McSsaPre ||
-                      Opts.Strategy == PreStrategy::McPre ||
-                      Opts.Strategy == PreStrategy::Lospre;
-  Profile Prof;
-  if (NeedsProfile && !Opts.ProfileInPath.empty()) {
-    std::ifstream In(Opts.ProfileInPath);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open profile '%s'\n",
-                   Opts.ProfileInPath.c_str());
-      return 1;
-    }
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    std::string Error;
-    if (!parseProfile(Buf.str(), Prof, Error)) {
-      std::fprintf(stderr, "error: %s: %s\n", Opts.ProfileInPath.c_str(),
-                   Error.c_str());
-      return 1;
-    }
-    Prof.BlockFreq.resize(F.numBlocks(), 0);
-  } else if (NeedsProfile) {
-    if (!Opts.TrainArgs) {
-      std::fprintf(stderr,
-                   "error: --strategy=%s requires --train=... arguments or "
-                   "--profile-in=...\n",
-                   strategyName(Opts.Strategy));
-      return 1;
-    }
-    if (Opts.TrainArgs->size() != F.Params.size()) {
-      std::fprintf(stderr,
-                   "error: function '%s' takes %zu arguments, --train has "
-                   "%zu\n",
-                   F.Name.c_str(), F.Params.size(), Opts.TrainArgs->size());
-      return 1;
-    }
-    ExecOptions EO;
-    EO.CollectProfile = &Prof;
-    ExecResult Train = interpret(F, *Opts.TrainArgs, EO);
-    reportRun("train", Train);
-    if (Train.Trapped || Train.TimedOut) {
-      std::fprintf(stderr, "error: training run failed\n");
-      return 1;
-    }
+/// Reads the input module and the --profile-in file into the request,
+/// the same for both modes.
+bool loadRequestFiles(ToolOptions &Opts) {
+  std::optional<std::string> Module = readFile(Opts.InputPath);
+  if (!Module) {
+    std::fprintf(stderr, "error: cannot open '%s'\n",
+                 Opts.InputPath.c_str());
+    return false;
   }
-  if (NeedsProfile && !Opts.ProfileOutPath.empty()) {
+  Opts.Req.ModuleText = std::move(*Module);
+  if (Opts.ProfileInPath.empty())
+    return true;
+  std::optional<std::string> Prof = readFile(Opts.ProfileInPath);
+  if (!Prof) {
+    std::fprintf(stderr, "error: cannot open profile '%s'\n",
+                 Opts.ProfileInPath.c_str());
+    return false;
+  }
+  Opts.Req.ProfileText = std::move(*Prof);
+  return true;
+}
+
+void appendFormat(std::string &Out, const char *Fmt, ...) {
+  va_list Args, Copy;
+  va_start(Args, Fmt);
+  va_copy(Copy, Args);
+  int N = std::vsnprintf(nullptr, 0, Fmt, Args);
+  va_end(Args);
+  size_t Old = Out.size();
+  Out.resize(Old + N + 1);
+  std::vsnprintf(Out.data() + Old, N + 1, Fmt, Copy);
+  va_end(Copy);
+  Out.resize(Old + N);
+}
+
+/// The local side channels of one compiled function: profile and DOT
+/// files, --stats and --run. Runs after the function's IR was emitted.
+int writeSideChannels(const ToolOptions &Opts, const ServeFunctionView &V,
+                      ServeResponse &Resp) {
+  if (V.Prof && !Opts.ProfileOutPath.empty()) {
     std::ofstream Out(Opts.ProfileOutPath);
-    Out << serializeProfile(Prof);
+    Out << serializeProfile(*V.Prof);
   }
-
   if (!Opts.DotCfgPath.empty()) {
     std::ofstream Out(Opts.DotCfgPath, std::ios::app);
-    Out << cfgToDot(F, NeedsProfile ? &Prof : nullptr);
+    Out << cfgToDot(V.Prepared, V.Prof);
   }
   if (!Opts.DotFrgPath.empty()) {
     // Annotated FRGs: run MC-SSAPRE's placement per candidate on a
     // throwaway SSA copy so the DOT shows classes, reduction and the cut.
-    Function Copy = F;
+    Function Copy = V.Prepared;
     constructSsa(Copy);
     Cfg C(Copy);
     DomTree DT = DomTree::buildDominators(C);
     std::ofstream Out(Opts.DotFrgPath, std::ios::app);
-    Profile NodeProf = Prof.withoutEdgeFreqs();
+    std::optional<Profile> NodeProf;
+    if (V.Prof)
+      NodeProf = V.Prof->withoutEdgeFreqs();
     for (const ExprKey &E : collectCandidateExprs(Copy)) {
       Frg G(Copy, C, DT, E);
-      if (NeedsProfile && !E.canFault())
-        computeSpeculativePlacement(G, NodeProf, Opts.Placement, Opts.Algo,
-                                    Opts.Objective);
-      Out << frgToDot(G, NeedsProfile ? &NodeProf : nullptr);
+      if (NodeProf && !E.canFault())
+        computeSpeculativePlacement(G, *NodeProf, Opts.Req.Placement,
+                                    Opts.Req.Algo, Opts.Req.Objective);
+      Out << frgToDot(G, NodeProf ? &*NodeProf : nullptr);
     }
   }
 
-  Profile NodeOnly = Prof.withoutEdgeFreqs();
-  PreOptions PO;
-  PO.Strategy = Opts.Strategy;
-  PO.Prof = Opts.Strategy == PreStrategy::McPre ? &Prof : &NodeOnly;
-  PO.Placement = Opts.Placement;
-  PO.Algo = Opts.Algo;
-  PO.Objective = Opts.Objective;
-  PO.Budget = Opts.Budget;
-  PO.LospreMaxWidth = Opts.LospreMaxWidth;
-  PO.Cache = Cache;
-  PreStats Stats;
-  PO.Stats = &Stats;
-
-  CompileOutcomeRecord Outcome;
-  Function Optimized = Driver.compileFunctionWithFallback(F, PO, Metrics,
-                                                          &Outcome);
-  // Degradations go to stderr so stdout stays bit-identical to a clean
-  // run; --report-outcomes forces a line even for clean compiles.
-  if (Outcome.degraded() || Opts.ReportOutcomes) {
-    std::fprintf(stderr, "outcome: %s requested=%s used=%s retries=%u",
-                 F.Name.c_str(), Outcome.Requested.c_str(),
-                 Outcome.Used.c_str(), Outcome.Retries);
-    if (!Outcome.Cause.empty())
-      std::fprintf(stderr, " cause=%s (%s)", Outcome.Cause.c_str(),
-                   Outcome.Message.c_str());
-    std::fprintf(stderr, "\n");
-  }
-  if (Opts.Gvn && Optimized.IsSSA)
-    runValueNumbering(Optimized);
-  if (Opts.Cleanup && Optimized.IsSSA)
-    runCleanupPipeline(Optimized);
-  if (Opts.OutOfSsa && Optimized.IsSSA)
-    destructSsa(Optimized);
-
-  if (Opts.Emit)
-    std::printf("%s", printFunction(Optimized).c_str());
-
   if (Opts.Stats) {
-    std::printf("; per-expression statistics (%s):\n",
-                strategyName(Opts.Strategy));
-    for (const ExprStatsRecord &R : Stats.records())
-      std::printf(";   %-20s frg=%up+%ur efg=%s%u ins=%u reload=%u save=%u\n",
-                  R.Expr.c_str(), R.FrgPhis, R.FrgReals,
-                  R.EfgEmpty ? "-" : "", R.EfgEmpty ? 0 : R.EfgNodes,
-                  R.NumInsertions, R.NumReloads, R.NumSaves);
+    appendFormat(Resp.StdoutText, "; per-expression statistics (%s):\n",
+                 strategyName(Opts.Req.Strategy));
+    for (const ExprStatsRecord &R : V.Stats.records())
+      appendFormat(Resp.StdoutText,
+                   ";   %-20s frg=%up+%ur efg=%s%u ins=%u reload=%u save=%u\n",
+                   R.Expr.c_str(), R.FrgPhis, R.FrgReals,
+                   R.EfgEmpty ? "-" : "", R.EfgEmpty ? 0 : R.EfgNodes,
+                   R.NumInsertions, R.NumReloads, R.NumSaves);
   }
 
   if (Opts.RunArgs) {
-    if (Opts.RunArgs->size() != F.Params.size()) {
-      std::fprintf(stderr, "error: --run argument count mismatch\n");
+    if (Opts.RunArgs->size() != V.Prepared.Params.size()) {
+      Resp.StderrText += "error: --run argument count mismatch\n";
       return 1;
     }
-    ExecResult Before = interpret(F, *Opts.RunArgs);
-    ExecResult After = interpret(Optimized, *Opts.RunArgs);
-    reportRun("before", Before);
-    reportRun("after ", After);
+    ExecResult Before = interpret(V.Prepared, *Opts.RunArgs);
+    ExecResult After = interpret(V.Optimized, *Opts.RunArgs);
+    appendRunReport(Resp.StdoutText, "before", Before);
+    appendRunReport(Resp.StdoutText, "after ", After);
     if (!Before.sameObservableBehavior(After)) {
-      std::fprintf(stderr, "error: behavior changed!\n");
+      Resp.StderrText += "error: behavior changed!\n";
       return 1;
     }
   }
@@ -525,8 +436,8 @@ int processFunction(Function &F, const ToolOptions &Opts,
 
 /// Client mode: ship the compile to a specpre-serve daemon and replay
 /// its streams, so `specpre-opt --connect=S file` is a drop-in for the
-/// local run (stdout bit-identical; see docs/SERVING.md).
-int runClientMode(const ToolOptions &Opts) {
+/// local run: same stdout, stderr and exit code (docs/SERVING.md).
+int runClientMode(ToolOptions &Opts) {
   // Flags whose effects are local side channels (files written here,
   // interpretation of the *input*) cannot be delegated; reject loudly
   // rather than silently compiling something else.
@@ -554,48 +465,15 @@ int runClientMode(const ToolOptions &Opts) {
     return 2;
   }
 
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n",
-                 Opts.InputPath.c_str());
+  if (!loadRequestFiles(Opts))
     return 1;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-
-  ServeRequest Req;
-  Req.ModuleText = Buffer.str();
-  Req.Strategy = Opts.Strategy;
-  Req.Placement = Opts.Placement;
-  Req.Algo = Opts.Algo;
-  Req.Objective = Opts.Objective;
-  Req.Budget = Opts.Budget;
-  Req.LospreMaxWidth = Opts.LospreMaxWidth;
-  Req.TrainArgs = Opts.TrainArgs;
-  Req.OnlyFunction = Opts.OnlyFunction;
-  Req.Emit = Opts.Emit;
-  Req.Cleanup = Opts.Cleanup;
-  Req.Gvn = Opts.Gvn;
-  Req.OutOfSsa = Opts.OutOfSsa;
-  Req.ReportOutcomes = Opts.ReportOutcomes;
-  if (!Opts.ProfileInPath.empty()) {
-    std::ifstream PIn(Opts.ProfileInPath);
-    if (!PIn) {
-      std::fprintf(stderr, "error: cannot open profile '%s'\n",
-                   Opts.ProfileInPath.c_str());
-      return 1;
-    }
-    std::stringstream PBuf;
-    PBuf << PIn.rdbuf();
-    Req.ProfileText = PBuf.str();
-  }
 
   // One attempt over a fresh connection. Distinguishes transport damage
   // (retryable: the daemon never judged the request) from request-level
   // verdicts (terminal: retrying would just replay the same answer —
   // or worse, re-poke a quarantined request). The daemon marks 'E'
   // frames caused by transport damage with a "frame-error: " prefix.
-  const std::string Encoded = encodeServeRequest(Req);
+  const std::string Encoded = encodeServeRequest(Opts.Req);
   enum class Attempt { Done, Retry, Fatal };
   int ExitCode = 1;
   auto TryOnce = [&](std::string &Why) -> Attempt {
@@ -732,26 +610,10 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  std::ifstream In(Opts.InputPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n",
-                 Opts.InputPath.c_str());
+  if (!loadRequestFiles(Opts))
     return 1;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
 
-  std::string Error;
-  std::optional<Module> M = parseModule(Buffer.str(), Error);
-  if (!M) {
-    std::fprintf(stderr, "error: %s: %s\n", Opts.InputPath.c_str(),
-                 Error.c_str());
-    return 1;
-  }
-
-  ParallelConfig PC;
-  PC.Jobs = Opts.Jobs;
-  ParallelPreDriver Driver(PC);
+  ParallelPreDriver Driver(ParallelConfig{Opts.Jobs});
   PipelineMetrics Metrics;
   bool WantMetrics = !Opts.MetricsOutPath.empty();
 
@@ -768,20 +630,17 @@ int main(int Argc, char **Argv) {
     Cache = std::make_unique<CompileCache>(CC);
   }
 
-  bool FoundAny = false;
-  for (Function &F : M->Functions) {
-    if (!Opts.OnlyFunction.empty() && F.Name != Opts.OnlyFunction)
-      continue;
-    FoundAny = true;
-    if (int Rc = processFunction(F, Opts, Driver,
-                                 WantMetrics ? &Metrics : nullptr,
-                                 Cache.get()))
-      return Rc;
-  }
-  if (!FoundAny) {
-    std::fprintf(stderr, "error: no function matched\n");
-    return 1;
-  }
+  // Local mode is the daemon's request pipeline run in this process, so
+  // its streams and exit code are the ones --connect would replay.
+  ServeResponse Resp = processServeRequest(
+      Opts.Req, Driver, Cache.get(), WantMetrics ? &Metrics : nullptr,
+      [&](const ServeFunctionView &V, ServeResponse &Out) {
+        return writeSideChannels(Opts, V, Out);
+      });
+  std::fwrite(Resp.StdoutText.data(), 1, Resp.StdoutText.size(), stdout);
+  std::fwrite(Resp.StderrText.data(), 1, Resp.StderrText.size(), stderr);
+  if (Resp.ExitCode)
+    return Resp.ExitCode;
 
   CacheCounters CacheStats;
   if (Cache) {
