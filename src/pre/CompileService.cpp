@@ -236,32 +236,43 @@ void specpre::appendRunReport(std::string &Out, const char *Label,
 
 namespace {
 
-/// One function of the request: prepare, profile, compile down the
-/// ladder, clean up, emit, then hand the result to \p OnFunction.
-int processServeFunction(Function &F, const ServeRequest &R,
-                         ParallelPreDriver &Driver, CompileCache *Cache,
-                         PipelineMetrics *Metrics,
-                         const ServeFunctionHook &OnFunction,
-                         ServeResponse &Resp) {
-  prepareFunction(F);
+/// One selected function of a request between the passes of
+/// processServeRequest.
+struct ServeFunction {
+  Function *F = nullptr; ///< Prepared in place by pass 1.
+  Profile Prof;          ///< Full profile (MC-PRE reads edge counts).
+  Profile NodeOnly;      ///< Node counts, for the other legs.
+  PreStats Stats;        ///< Filled by pass 2: records and the outcome.
+  std::string Stdout;    ///< Pass 1's training report.
+  std::string Stderr;    ///< Pass 1's diagnostic when it failed.
+};
 
-  bool NeedsProfile = R.Strategy == PreStrategy::McSsaPre ||
-                      R.Strategy == PreStrategy::McPre ||
-                      R.Strategy == PreStrategy::Lospre;
-  Profile Prof;
-  if (NeedsProfile && !R.ProfileText.empty()) {
+bool needsProfile(PreStrategy S) {
+  return S == PreStrategy::McSsaPre || S == PreStrategy::McPre ||
+         S == PreStrategy::Lospre;
+}
+
+/// Pass 1 for one function: prepare it and collect its profile. Returns
+/// false, with the diagnostic in Fn.Stderr, when the request must stop
+/// at this function.
+bool prepareServeFunction(const ServeRequest &R, ServeFunction &Fn) {
+  Function &F = *Fn.F;
+  prepareFunction(F);
+  if (!needsProfile(R.Strategy))
+    return true;
+  if (!R.ProfileText.empty()) {
     std::string Error;
-    if (!parseProfile(R.ProfileText, Prof, Error)) {
-      Resp.StderrText += "error: profile: " + Error + "\n";
-      return 1;
+    if (!parseProfile(R.ProfileText, Fn.Prof, Error)) {
+      Fn.Stderr += "error: profile: " + Error + "\n";
+      return false;
     }
-    Prof.BlockFreq.resize(F.numBlocks(), 0);
-  } else if (NeedsProfile) {
+    Fn.Prof.BlockFreq.resize(F.numBlocks(), 0);
+  } else {
     if (!R.TrainArgs) {
-      Resp.StderrText += "error: --strategy=";
-      Resp.StderrText += strategyName(R.Strategy);
-      Resp.StderrText += " requires --train=... arguments or a profile\n";
-      return 1;
+      Fn.Stderr += "error: --strategy=";
+      Fn.Stderr += strategyName(R.Strategy);
+      Fn.Stderr += " requires --train=... arguments or a profile\n";
+      return false;
     }
     if (R.TrainArgs->size() != F.Params.size()) {
       char Buf[192];
@@ -269,35 +280,29 @@ int processServeFunction(Function &F, const ServeRequest &R,
                     "error: function '%s' takes %zu arguments, --train has "
                     "%zu\n",
                     F.Name.c_str(), F.Params.size(), R.TrainArgs->size());
-      Resp.StderrText += Buf;
-      return 1;
+      Fn.Stderr += Buf;
+      return false;
     }
     ExecOptions EO;
-    EO.CollectProfile = &Prof;
+    EO.CollectProfile = &Fn.Prof;
     ExecResult Train = interpret(F, *R.TrainArgs, EO);
-    appendRunReport(Resp.StdoutText, "train", Train);
+    appendRunReport(Fn.Stdout, "train", Train);
     if (Train.Trapped || Train.TimedOut) {
-      Resp.StderrText += "error: training run failed\n";
-      return 1;
+      Fn.Stderr += "error: training run failed\n";
+      return false;
     }
   }
+  return true;
+}
 
-  Profile NodeOnly = Prof.withoutEdgeFreqs();
-  PreOptions PO;
-  PO.Strategy = R.Strategy;
-  PO.Prof = R.Strategy == PreStrategy::McPre ? &Prof : &NodeOnly;
-  PO.Placement = R.Placement;
-  PO.Algo = R.Algo;
-  PO.Objective = R.Objective;
-  PO.Budget = R.Budget;
-  PO.LospreMaxWidth = R.LospreMaxWidth;
-  PO.Cache = Cache;
-  PreStats Stats;
-  PO.Stats = &Stats;
-
-  CompileOutcomeRecord Outcome;
-  Function Optimized =
-      Driver.compileFunctionWithFallback(F, PO, Metrics, &Outcome);
+/// Pass 3 for one compiled function: report its ladder outcome, clean
+/// up, emit, then hand the result to \p OnFunction.
+int finishServeFunction(const ServeRequest &R, const ServeFunction &Fn,
+                        Function &Optimized,
+                        const ServeFunctionHook &OnFunction,
+                        ServeResponse &Resp) {
+  Resp.StdoutText += Fn.Stdout;
+  const CompileOutcomeRecord &Outcome = Fn.Stats.outcomes().back();
   // Degradations go to stderr so stdout stays bit-identical to a clean
   // run; ReportOutcomes forces a line even for clean compiles.
   if (Outcome.degraded())
@@ -306,7 +311,7 @@ int processServeFunction(Function &F, const ServeRequest &R,
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   "outcome: %s requested=%s used=%s retries=%u",
-                  F.Name.c_str(), Outcome.Requested.c_str(),
+                  Fn.F->Name.c_str(), Outcome.Requested.c_str(),
                   Outcome.Used.c_str(), Outcome.Retries);
     Resp.StderrText += Buf;
     if (!Outcome.Cause.empty())
@@ -325,7 +330,8 @@ int processServeFunction(Function &F, const ServeRequest &R,
     Resp.StdoutText += printFunction(Optimized);
   if (!OnFunction)
     return 0;
-  return OnFunction({F, NeedsProfile ? &Prof : nullptr, Optimized, Stats},
+  return OnFunction({*Fn.F, needsProfile(R.Strategy) ? &Fn.Prof : nullptr,
+                     Optimized, Fn.Stats},
                     Resp);
 }
 
@@ -346,19 +352,52 @@ specpre::processServeRequest(const ServeRequest &R, ParallelPreDriver &Driver,
     return Resp;
   }
 
-  bool FoundAny = false;
-  for (Function &F : M->Functions) {
-    if (!R.OnlyFunction.empty() && F.Name != R.OnlyFunction)
-      continue;
-    FoundAny = true;
-    if (int Rc = processServeFunction(F, R, Driver, Cache, Metrics,
-                                      OnFunction, Resp)) {
+  std::vector<ServeFunction> Fns;
+  for (Function &F : M->Functions)
+    if (R.OnlyFunction.empty() || F.Name == R.OnlyFunction)
+      Fns.emplace_back().F = &F;
+  if (Fns.empty()) {
+    Resp.StderrText += "error: no function matched\n";
+    Resp.ExitCode = 1;
+    return Resp;
+  }
+
+  // Pass 1: prepare and profile in order, up to the first failure.
+  size_t Ready = 0;
+  while (Ready != Fns.size() && prepareServeFunction(R, Fns[Ready]))
+    ++Ready;
+
+  // Pass 2: compile the prepared functions, fanned out over the pool.
+  std::vector<CompileTask> Tasks;
+  for (size_t I = 0; I != Ready; ++I) {
+    ServeFunction &Fn = Fns[I];
+    Fn.NodeOnly = Fn.Prof.withoutEdgeFreqs();
+    PreOptions PO;
+    PO.Strategy = R.Strategy;
+    PO.Prof = R.Strategy == PreStrategy::McPre ? &Fn.Prof : &Fn.NodeOnly;
+    PO.Placement = R.Placement;
+    PO.Algo = R.Algo;
+    PO.Objective = R.Objective;
+    PO.Budget = R.Budget;
+    PO.LospreMaxWidth = R.LospreMaxWidth;
+    PO.Cache = Cache;
+    PO.Stats = &Fn.Stats;
+    Tasks.push_back({Fn.F, PO});
+  }
+  std::vector<Function> Optimized =
+      Driver.compileCorpus(Tasks, nullptr, Metrics);
+
+  // Pass 3: finish and emit in order, so the streams read as if each
+  // function had gone through all three passes before the next.
+  for (size_t I = 0; I != Ready; ++I)
+    if (int Rc =
+            finishServeFunction(R, Fns[I], Optimized[I], OnFunction, Resp)) {
       Resp.ExitCode = Rc;
       return Resp;
     }
-  }
-  if (!FoundAny) {
-    Resp.StderrText += "error: no function matched\n";
+  if (Ready != Fns.size()) {
+    Resp.StdoutText += Fns[Ready].Stdout;
+    Resp.StderrText += Fns[Ready].Stderr;
     Resp.ExitCode = 1;
   }
   return Resp;

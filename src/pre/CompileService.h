@@ -29,10 +29,9 @@
 ///  * CompileService — the request queue. submit() enqueues and returns
 ///    a future; a small pool of request workers dequeues and runs each
 ///    request through processServeRequest (full degradation ladder,
-///    budgets, metrics). Request workers only orchestrate —
-///    per-expression parallelism inside one compile still comes from
-///    the shared ThreadPool, which is safe to drive from several
-///    requests at once.
+///    budgets, metrics). Request workers only orchestrate — the
+///    functions of one request fan out over the shared ThreadPool,
+///    which is safe to drive from several requests at once.
 ///
 ///  * ServeServer — the socket front end: accept loop, per-connection
 ///    reader threads, frame dispatch ('P' ping, 'C' compile, 'S' stats),
@@ -142,10 +141,15 @@ struct ServeFunctionView {
 using ServeFunctionHook =
     std::function<int(const ServeFunctionView &, ServeResponse &)>;
 
-/// Runs \p R against the given driver/cache: parse, then per function
-/// prepare, profile, compile down the ladder, clean up and emit. The
-/// synchronous core of CompileService and of specpre-opt's local mode;
-/// \p OnFunction carries the tool's local side channels.
+/// Runs \p R against the given driver/cache: parse, then three passes
+/// over the selected functions. Pass 1 prepares and profiles them in
+/// order, stopping at the first failure; pass 2 compiles the ones that
+/// passed down the ladder through Driver.compileCorpus (one pool task
+/// per function); pass 3 cleans up, emits and calls \p OnFunction for
+/// each in order, so the streams are those of a one-function-at-a-time
+/// run at any job count. The synchronous core of CompileService and of
+/// specpre-opt's local mode; \p OnFunction carries the tool's local side
+/// channels.
 ServeResponse processServeRequest(const ServeRequest &R,
                                   ParallelPreDriver &Driver,
                                   CompileCache *Cache,

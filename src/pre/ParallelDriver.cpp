@@ -19,18 +19,6 @@ ParallelPreDriver::~ParallelPreDriver() = default;
 
 unsigned ParallelPreDriver::jobs() const { return Config.Jobs; }
 
-Function ParallelPreDriver::compileFunction(const Function &Prepared,
-                                            const PreOptions &Opts,
-                                            PipelineMetrics *Metrics) {
-  return compileWithPre(Prepared, Opts, Pool.get(), Metrics);
-}
-
-Function ParallelPreDriver::compileFunctionWithFallback(
-    const Function &Prepared, const PreOptions &Opts, PipelineMetrics *Metrics,
-    CompileOutcomeRecord *OutcomeOut) {
-  return compileWithFallback(Prepared, Opts, OutcomeOut, Pool.get(), Metrics);
-}
-
 std::vector<Function>
 ParallelPreDriver::compileCorpus(const std::vector<CompileTask> &Tasks,
                                  PreStats *MergedStats,
@@ -41,11 +29,10 @@ ParallelPreDriver::compileCorpus(const std::vector<CompileTask> &Tasks,
 
   auto CompileOne = [&](size_t I) {
     PreOptions PO = Tasks[I].Opts;
-    PO.Stats = MergedStats ? &StatShards[I] : nullptr;
-    Results[I] = compileFunctionWithFallback(
-        *Tasks[I].Prepared, PO, Metrics ? &MetricShards[I] : nullptr);
-    if (PO.Stats)
-      PO.Stats->stampFunctionIndex(static_cast<unsigned>(I));
+    if (MergedStats)
+      PO.Stats = &StatShards[I];
+    Results[I] = compileWithFallback(*Tasks[I].Prepared, PO, nullptr,
+                                     Metrics ? &MetricShards[I] : nullptr);
   };
 
   if (Pool)
@@ -57,8 +44,10 @@ ParallelPreDriver::compileCorpus(const std::vector<CompileTask> &Tasks,
   // Deterministic reduction: shards merge in function order, and merge()
   // itself orders records by (function, expression) key.
   for (size_t I = 0; I != Tasks.size(); ++I) {
-    if (MergedStats)
+    if (MergedStats) {
+      StatShards[I].stampFunctionIndex(static_cast<unsigned>(I));
       MergedStats->merge(StatShards[I]);
+    }
     if (Metrics)
       Metrics->merge(MetricShards[I]);
   }

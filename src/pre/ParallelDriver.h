@@ -5,22 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel compilation pipeline. Two levels of fan-out over a
-/// work-stealing pool (support/ThreadPool.h):
-///
-///  * corpus level — independent functions compile concurrently, each
-///    accumulating into a private PreStats shard; shards are stamped
-///    with the function index and merged in (function, expression)
-///    order, so the merged records equal the serial sequence exactly;
-///
-///  * expression level — within one function, the per-expression
-///    placement analyses run concurrently against the pre-motion
-///    function and are committed serially in candidate order. That is
-///    the one PRE driver (runPre in pre/PreDriver.h) handed this
-///    driver's pool; docs/PARALLELISM.md argues why it is sound.
-///
-/// With Jobs=1 there is no pool and the driver is exactly the serial
-/// pipeline.
+/// The parallel compilation pipeline: independent functions compile
+/// concurrently on a work-stealing pool (support/ThreadPool.h), one task
+/// per function. Each task runs the one PRE driver (compileWithFallback
+/// in pre/PreDriver.h) exactly as a serial compile would; statistics
+/// and metrics go to per-task shards, stamped with the function index
+/// and merged in (function, expression) order, so the merged results
+/// equal the serial sequence exactly. With Jobs=1 there is no pool and
+/// the tasks run in order on the calling thread.
 ///
 /// The determinism guarantee — `--jobs=N` produces bit-identical IR and
 /// PreStats to `--jobs=1` — is asserted over the generated corpus by
@@ -50,7 +42,9 @@ struct ParallelConfig {
 /// One function's compilation request for compileCorpus.
 struct CompileTask {
   const Function *Prepared = nullptr; ///< prepared, non-SSA (see prepareFunction)
-  PreOptions Opts; ///< Opts.Stats is ignored; stats are sharded internally.
+  /// Opts.Stats, when set, receives this function's records and outcome
+  /// unless compileCorpus collects merged statistics instead.
+  PreOptions Opts;
 };
 
 class ParallelPreDriver {
@@ -60,29 +54,15 @@ public:
 
   unsigned jobs() const;
 
-  /// compileWithPre over this driver's pool. \p Metrics, when set,
-  /// receives the pipeline step timings of this compile.
-  Function compileFunction(const Function &Prepared, const PreOptions &Opts,
-                           PipelineMetrics *Metrics = nullptr);
-
-  /// compileWithFallback over this driver's pool: the degradation
-  /// ladder, the cache protocol and the robustness counters of
-  /// \p Metrics. With no failure the result, stats and metrics are
-  /// bit-identical to compileFunction.
-  Function
-  compileFunctionWithFallback(const Function &Prepared, const PreOptions &Opts,
-                              PipelineMetrics *Metrics = nullptr,
-                              CompileOutcomeRecord *OutcomeOut = nullptr);
-
-  /// Compiles a whole corpus, fanning functions (and expressions within
-  /// them) across the pool. Results are positionally aligned with
-  /// \p Tasks. \p MergedStats, when set, receives every function's
-  /// records merged in (function, expression) order — bit-identical to
-  /// a serial loop over compileWithPre.
-  ///
-  /// Each task compiles through compileFunctionWithFallback, so one
-  /// failing function degrades (worst case to identity) without taking
-  /// down the batch or perturbing any other task's output.
+  /// Compiles a whole corpus, one pool task per function, each through
+  /// compileWithFallback: one failing function degrades (worst case to
+  /// identity) without taking down the batch or perturbing any other
+  /// task's output. Results are positionally aligned with \p Tasks.
+  /// \p MergedStats, when set, receives every function's records merged
+  /// in (function, expression) order — bit-identical to a serial loop
+  /// over compileWithFallback — in place of each task's Opts.Stats.
+  /// \p Metrics, when set, receives every task's step timings and
+  /// robustness counters.
   std::vector<Function> compileCorpus(const std::vector<CompileTask> &Tasks,
                                       PreStats *MergedStats,
                                       PipelineMetrics *Metrics = nullptr);

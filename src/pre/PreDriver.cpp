@@ -24,7 +24,6 @@
 #include "ssa/SsaConstruction.h"
 #include "support/CrashContext.h"
 #include "support/Diagnostics.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <exception>
@@ -173,56 +172,6 @@ ExprStatsRecord computePlacement(const Function &F, Frg &G, unsigned EI,
   return Rec;
 }
 
-/// One expression's placement, computed on the pool against the
-/// pre-motion function, plus the structural fingerprint that the commit
-/// step checks before transferring it onto the rebuilt FRG.
-struct ExprPlacement {
-  bool HasReals = false;
-  ExprStatsRecord Rec; ///< finalize counts are added at commit time
-  /// Placement decisions, indexed like the FRG they were computed on.
-  std::vector<char> PhiWillBeAvail;
-  std::vector<char> PhiInReducedGraph; ///< needed for SprReloadedFreq stats
-  std::vector<char> OperandInsert;     ///< flattened over phis' operands
-  std::vector<BlockId> PhiBlocks;
-  std::vector<unsigned> OperandCounts;
-  unsigned NumReals = 0;
-};
-
-void capturePlacement(const Frg &G, ExprPlacement &P) {
-  P.NumReals = static_cast<unsigned>(G.reals().size());
-  for (const PhiOcc &Phi : G.phis()) {
-    P.PhiBlocks.push_back(Phi.Block);
-    P.OperandCounts.push_back(static_cast<unsigned>(Phi.Operands.size()));
-    P.PhiWillBeAvail.push_back(Phi.WillBeAvail);
-    P.PhiInReducedGraph.push_back(Phi.InReducedGraph);
-    for (const PhiOperand &Op : Phi.Operands)
-      P.OperandInsert.push_back(Op.Insert);
-  }
-}
-
-/// Transfers the precomputed decisions onto the FRG rebuilt at commit
-/// time. Returns false, leaving \p G untouched, if the rebuild is not
-/// structurally identical to the analysis-time FRG; the caller then
-/// recomputes the placement, as the serial order would.
-bool transferPlacement(Frg &G, const ExprPlacement &P) {
-  if (G.reals().size() != P.NumReals ||
-      G.phis().size() != P.PhiBlocks.size())
-    return false;
-  for (unsigned I = 0; I != G.phis().size(); ++I)
-    if (G.phis()[I].Block != P.PhiBlocks[I] ||
-        G.phis()[I].Operands.size() != P.OperandCounts[I])
-      return false;
-  unsigned Flat = 0;
-  for (unsigned I = 0; I != G.phis().size(); ++I) {
-    PhiOcc &Phi = G.phis()[I];
-    Phi.WillBeAvail = P.PhiWillBeAvail[I];
-    Phi.InReducedGraph = P.PhiInReducedGraph[I];
-    for (PhiOperand &Op : Phi.Operands)
-      Op.Insert = P.OperandInsert[Flat++];
-  }
-  return true;
-}
-
 /// Commits one placed expression: finalize, the finalize-time
 /// statistics, code motion, then the Verifier and the Definition-1
 /// check. Returns false when a verification failure was reported
@@ -279,14 +228,10 @@ bool commitPlacement(Function &F, Frg &G, unsigned EI, ExprStatsRecord Rec,
   return true;
 }
 
-/// The SSA legs over one function, in candidate order. Without a pool,
-/// each candidate's FRG is built once and its placement committed right
-/// away. With one, every placement is first computed concurrently
-/// against the pre-motion function (phase A), then each FRG is rebuilt
-/// against the current function and the placement transferred onto it
-/// before the same commit (docs/PARALLELISM.md). Either way the IR, the
-/// statistics and the fresh-variable numbering are the same.
-void runSsaStrategies(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
+/// The SSA legs over one function, in candidate order: each
+/// candidate's FRG is built once, against the function as the code
+/// motion of the earlier candidates left it, then placed and committed.
+void runSsaStrategies(Function &F, const PreOptions &Opts) {
   assert(F.IsSSA && "SSA strategies require SSA form");
   Cfg C(F);
   DomTree DT = DomTree::buildDominators(C);
@@ -300,46 +245,12 @@ void runSsaStrategies(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
   // so it is computed once up front for all candidates.
   LexicalDataFlow LDF = solveLexicalDataFlow(F, C, Exprs);
 
-  std::vector<ExprPlacement> Placements;
-  if (Pool) {
-    // Phase A: all inputs (F, C, DT, LI, LDF, profile) are const here.
-    // Pool threads re-install the function's budget and write metrics
-    // into per-expression shards; a throwing analysis is contained by
-    // the pool and rethrown here, where the ladder catches it.
-    Placements.resize(Exprs.size());
-    PipelineMetrics *Metrics = currentMetricsSink();
-    std::vector<PipelineMetrics> Shards(Metrics ? Exprs.size() : 0);
-    BudgetTracker *Budget = currentBudget();
-    Pool->parallelFor(Exprs.size(), [&](size_t EI) {
-      BudgetScope BScope(Budget);
-      MetricsScope MScope(Metrics ? &Shards[EI] : nullptr);
-      Frg G(F, C, DT, Exprs[EI]);
-      if (G.reals().empty())
-        return;
-      ExprPlacement &P = Placements[EI];
-      P.HasReals = true;
-      CrashContext ExprFrame("expression", Exprs[EI].toString(F));
-      P.Rec = computePlacement(F, G, static_cast<unsigned>(EI), Opts, LDF, LI);
-      capturePlacement(G, P);
-    });
-    for (const PipelineMetrics &Shard : Shards)
-      Metrics->merge(Shard);
-  }
-
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
-    if (Pool && !Placements[EI].HasReals)
-      continue;
     Frg G(F, C, DT, Exprs[EI]);
     if (G.reals().empty())
       continue;
     CrashContext ExprFrame("expression", Exprs[EI].toString(F));
-    // Distinct candidate keys keep their FRG structure under each
-    // other's code motion (docs/PARALLELISM.md); should a transfer ever
-    // fail anyway, recomputing keeps the commit serial-identical.
-    ExprStatsRecord Rec =
-        Pool && transferPlacement(G, Placements[EI])
-            ? std::move(Placements[EI].Rec)
-            : computePlacement(F, G, EI, Opts, LDF, LI);
+    ExprStatsRecord Rec = computePlacement(F, G, EI, Opts, LDF, LI);
     if (!commitPlacement(F, G, EI, std::move(Rec), Opts))
       return;
   }
@@ -352,9 +263,9 @@ bool isSsaStrategy(PreStrategy S) {
 
 } // namespace
 
-void specpre::runPre(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
+void specpre::runPre(Function &F, const PreOptions &Opts) {
   if (isSsaStrategy(Opts.Strategy)) {
-    runSsaStrategies(F, Opts, Pool);
+    runSsaStrategies(F, Opts);
     return;
   }
   switch (Opts.Strategy) {
@@ -379,7 +290,7 @@ void specpre::runPre(Function &F, const PreOptions &Opts, ThreadPool *Pool) {
 }
 
 Function specpre::compileWithPre(const Function &Prepared,
-                                 const PreOptions &Opts, ThreadPool *Pool,
+                                 const PreOptions &Opts,
                                  PipelineMetrics *Metrics) {
   assert(!Prepared.IsSSA && "compileWithPre expects prepared non-SSA input");
   // A fresh budget per call: each ladder rung gets the full budget, so a
@@ -390,7 +301,7 @@ Function specpre::compileWithPre(const Function &Prepared,
   Function F = Prepared;
   if (isSsaStrategy(Opts.Strategy))
     constructSsa(F);
-  runPre(F, Opts, Pool);
+  runPre(F, Opts);
   return F;
 }
 
@@ -443,7 +354,6 @@ namespace {
 Function compileWithFallbackUncached(const Function &Prepared,
                                      const PreOptions &Opts,
                                      CompileOutcomeRecord *OutcomeOut,
-                                     ThreadPool *Pool,
                                      PipelineMetrics *Metrics) {
   assert(!Prepared.IsSSA &&
          "compileWithFallback expects prepared non-SSA input");
@@ -470,7 +380,7 @@ Function compileWithFallbackUncached(const Function &Prepared,
 
     Status Failure = Status::ok();
     try {
-      Function F = compileWithPre(Prepared, RungOpts, Pool, Metrics);
+      Function F = compileWithPre(Prepared, RungOpts, Metrics);
       Failure = checkObservableEquivalence(Prepared, F, Opts);
       if (Failure.isOk()) {
         Outcome.Used = strategyName(Rung);
@@ -483,9 +393,8 @@ Function compileWithFallbackUncached(const Function &Prepared,
     } catch (const StatusException &E) {
       Failure = E.status();
     } catch (const std::exception &E) {
-      // A non-Status exception (bad_alloc, logic_error), on the calling
-      // thread or rethrown from a pool worker, is contained the same
-      // way; only signals and aborts remain fatal.
+      // A non-Status exception (bad_alloc, logic_error) is contained
+      // the same way; only signals and aborts remain fatal.
       Failure = Status::error(ErrorCode::WorkerFailed, E.what());
     }
     if (Outcome.Cause.empty()) {
@@ -516,13 +425,12 @@ Function compileWithFallbackUncached(const Function &Prepared,
 Function specpre::compileWithFallback(const Function &Prepared,
                                       const PreOptions &Opts,
                                       CompileOutcomeRecord *OutcomeOut,
-                                      ThreadPool *Pool,
                                       PipelineMetrics *Metrics) {
   bool Replayed = false;
   Function F = compileThroughCache(
       Prepared, Opts, OutcomeOut,
       [&](const Function &P, const PreOptions &O, CompileOutcomeRecord *Out) {
-        return compileWithFallbackUncached(P, O, Out, Pool, Metrics);
+        return compileWithFallbackUncached(P, O, Out, Metrics);
       },
       &Replayed);
   // A replayed hit is a compiled function the ladder never saw; keep the

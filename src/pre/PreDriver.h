@@ -42,7 +42,6 @@
 namespace specpre {
 
 class CompileCache;
-class ThreadPool;
 
 enum class PreStrategy {
   None,       ///< No PRE at all (sanity baseline).
@@ -122,14 +121,12 @@ void prepareFunction(Function &F);
 /// strategies, \p F must already be in SSA form (see constructSsa); for
 /// McPre it must not be. Mutates F in place.
 ///
-/// This is the one PRE driver. Without \p Pool, each candidate
-/// expression is analysed and committed in turn, building its FRG once.
-/// With a pool, the SSA legs first compute every candidate's placement
-/// concurrently against the pre-motion function, then commit them in
-/// candidate order; the output is bit-identical either way
-/// (docs/PARALLELISM.md). Step timings go to the thread's MetricsScope
-/// sink; pool threads write into shards merged into it.
-void runPre(Function &F, const PreOptions &Opts, ThreadPool *Pool = nullptr);
+/// This is the one PRE driver. The SSA legs take the candidate
+/// expressions in order and build each one's FRG once, against the
+/// function as the earlier candidates' code motion left it, then place
+/// and commit it (paper Section 1). Step timings go to the thread's
+/// MetricsScope sink.
+void runPre(Function &F, const PreOptions &Opts);
 
 /// Takes a *prepared, non-SSA* function, builds SSA if the strategy
 /// requires it, and runs PRE under a fresh tracker for Opts.Budget.
@@ -137,7 +134,6 @@ void runPre(Function &F, const PreOptions &Opts, ThreadPool *Pool = nullptr);
 /// timings go to \p Metrics (installed as the MetricsScope for the
 /// call; null suspends collection).
 Function compileWithPre(const Function &Prepared, const PreOptions &Opts,
-                        ThreadPool *Pool = nullptr,
                         PipelineMetrics *Metrics = currentMetricsSink());
 
 /// The retry sequence compileWithFallback walks when \p Requested fails,
@@ -172,12 +168,11 @@ Status checkObservableEquivalence(const Function &Prepared,
 /// \p OutcomeOut when non-null and recorded in Opts.Stats when set.
 /// Partial statistics of abandoned rungs are discarded, so with no
 /// degradation the stats stream is identical to compileWithPre's.
-/// Every rung runs through compileWithPre with \p Pool and \p Metrics;
-/// \p Metrics also receives the robustness counters. Goes through the
-/// compilation cache when Opts.Cache is set (pre/CachedCompile.h).
+/// Every rung runs through compileWithPre with \p Metrics, which also
+/// receives the robustness counters. Goes through the compilation cache
+/// when Opts.Cache is set (pre/CachedCompile.h).
 Function compileWithFallback(const Function &Prepared, const PreOptions &Opts,
                              CompileOutcomeRecord *OutcomeOut = nullptr,
-                             ThreadPool *Pool = nullptr,
                              PipelineMetrics *Metrics = currentMetricsSink());
 
 } // namespace specpre

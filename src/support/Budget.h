@@ -20,10 +20,9 @@
 /// The budget is installed with a BudgetScope around the per-function
 /// pipeline; deep code asks `currentBudget()` and throws a
 /// StatusException(BudgetExhausted) when a limit trips, which the
-/// degradation ladder converts into a retry on a cheaper strategy. The
-/// tracker's counters are atomic, so the parallel driver's
-/// per-expression fan-out can share one function-level budget: each
-/// worker installs the same tracker for the duration of its lambda.
+/// degradation ladder converts into a retry on a cheaper strategy. Each
+/// function's compile installs its own tracker on the thread that runs
+/// it (compileWithPre, one per ladder rung).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -181,27 +181,37 @@ private:
   bool Ok = true;
 };
 
-/// Runs one generated program through PRE with metrics collection.
+/// Runs three generated programs through PRE with metrics collection,
+/// one pool task per program.
 PipelineMetrics collectMetrics(PreStrategy Strategy, unsigned Jobs) {
-  GeneratorConfig Cfg;
-  Function F = generateProgram(19, Cfg, "metrics");
-  prepareFunction(F);
-  Profile Prof;
-  ExecOptions EO;
-  EO.CollectProfile = &Prof;
-  std::vector<int64_t> Args(F.Params.size(), 11);
-  interpret(F, Args, EO);
-  Profile NodeOnly = Prof.withoutEdgeFreqs();
+  std::vector<Function> Fns;
+  std::vector<Profile> Profs, NodeOnly;
+  for (uint64_t Seed : {19u, 23u, 29u}) {
+    GeneratorConfig Cfg;
+    Function F = generateProgram(Seed, Cfg, "metrics" + std::to_string(Seed));
+    prepareFunction(F);
+    Profile Prof;
+    ExecOptions EO;
+    EO.CollectProfile = &Prof;
+    std::vector<int64_t> Args(F.Params.size(), 11);
+    interpret(F, Args, EO);
+    NodeOnly.push_back(Prof.withoutEdgeFreqs());
+    Profs.push_back(std::move(Prof));
+    Fns.push_back(std::move(F));
+  }
 
-  PreOptions PO;
-  PO.Strategy = Strategy;
-  PO.Prof = Strategy == PreStrategy::McPre ? &Prof : &NodeOnly;
-
+  std::vector<CompileTask> Tasks;
+  for (unsigned I = 0; I != Fns.size(); ++I) {
+    PreOptions PO;
+    PO.Strategy = Strategy;
+    PO.Prof = Strategy == PreStrategy::McPre ? &Profs[I] : &NodeOnly[I];
+    Tasks.push_back({&Fns[I], PO});
+  }
   ParallelConfig PC;
   PC.Jobs = Jobs;
   ParallelPreDriver Driver(PC);
   PipelineMetrics M;
-  Driver.compileFunction(F, PO, &M);
+  Driver.compileCorpus(Tasks, nullptr, &M);
   return M;
 }
 
@@ -249,15 +259,18 @@ TEST(MetricsJson, McSsaPreExercisesItsSteps) {
 }
 
 TEST(MetricsJson, ParallelCollectionLosesNothing) {
-  // Exact counters (invocations) must agree between jobs=1 and jobs=4 for
-  // the steps the transfer scheme runs once per candidate.
+  // Fanning the functions out loses and duplicates no work: every
+  // step's invocation count and problem size agree between jobs=1 and
+  // jobs=4, the FRG steps included (each FRG is built once).
   PipelineMetrics Serial = collectMetrics(PreStrategy::McSsaPre, 1);
   PipelineMetrics Parallel = collectMetrics(PreStrategy::McSsaPre, 4);
-  for (PipelineStep S : {PipelineStep::DataFlow, PipelineStep::Reduction,
-                         PipelineStep::MinCut, PipelineStep::Finalize,
-                         PipelineStep::CodeMotion})
+  for (unsigned I = 0; I != NumPipelineSteps; ++I) {
+    PipelineStep S = static_cast<PipelineStep>(I);
     EXPECT_EQ(Serial.step(S).Invocations, Parallel.step(S).Invocations)
         << pipelineStepName(S);
+    EXPECT_EQ(Serial.step(S).ProblemSize, Parallel.step(S).ProblemSize)
+        << pipelineStepName(S);
+  }
 }
 
 TEST(MetricsJson, MergeSumsShards) {

@@ -270,7 +270,7 @@ TEST_F(RobustnessTest, BruteForceOracleRejectsOversizedNetwork) {
 }
 
 /// An injected fault's message names the site's global hit counter. On
-/// a pool, which candidate draws which hit depends on scheduling
+/// a pool, which function draws which hit depends on scheduling
 /// (docs/ROBUSTNESS.md), so ladder outcomes are compared without it.
 CompileOutcomeRecord withoutHitCounter(CompileOutcomeRecord O) {
   O.Message = std::regex_replace(O.Message, std::regex(R"(\(hit \d+\))"),
@@ -278,68 +278,93 @@ CompileOutcomeRecord withoutHitCounter(CompileOutcomeRecord O) {
   return O;
 }
 
-TEST_F(RobustnessTest, ParallelFallbackMatchesSerial) {
-  // Once clean, and once with every min cut failing so both drivers walk
-  // the ladder down to SSAPREsp: the serial ladder and a 4-worker driver
-  // must agree on the IR, every statistics record and the outcome.
-  for (const char *Faults : {"", "min-cut:1"}) {
-    SCOPED_TRACE(std::string("faults '") + Faults + "'");
-    Case C = prepareCase();
+/// Three renamed copies of the skewed diamond: a corpus for the pool.
+std::vector<Case> prepareCorpus() {
+  std::vector<Case> Cases;
+  for (int I = 0; I != 3; ++I) {
+    Cases.push_back(prepareCase());
+    Cases.back().Prepared.Name = "skewed" + std::to_string(I);
+  }
+  return Cases;
+}
+
+std::vector<CompileTask> tasksFor(const std::vector<Case> &Cases) {
+  std::vector<CompileTask> Tasks;
+  for (const Case &C : Cases) {
     PreOptions PO;
     PO.Strategy = PreStrategy::McSsaPre;
     PO.Prof = &C.NodeOnly;
+    Tasks.push_back({&C.Prepared, PO});
+  }
+  return Tasks;
+}
+
+TEST_F(RobustnessTest, ParallelFallbackMatchesSerial) {
+  // Once clean, and once with every min cut failing so every function
+  // walks the ladder down to SSAPREsp: a serial ladder loop and a
+  // 4-worker compileCorpus must agree on the IR, every statistics
+  // record and every outcome.
+  for (const char *Faults : {"", "min-cut:1"}) {
+    SCOPED_TRACE(std::string("faults '") + Faults + "'");
+    std::vector<Case> Cases = prepareCorpus();
+    std::vector<CompileTask> Tasks = tasksFor(Cases);
 
     auto Arm = [&] {
-      if (*Faults)
+      if (*Faults) {
         ASSERT_TRUE(configureFaultInjection(Faults).isOk());
+      }
     };
     Arm();
+    std::vector<Function> Serial;
     PreStats SerialStats;
-    PO.Stats = &SerialStats;
-    CompileOutcomeRecord SerialOutcome;
-    Function Serial = compileWithFallback(C.Prepared, PO, &SerialOutcome);
+    for (unsigned I = 0; I != Tasks.size(); ++I) {
+      PreStats Shard;
+      PreOptions PO = Tasks[I].Opts;
+      PO.Stats = &Shard;
+      Serial.push_back(compileWithFallback(*Tasks[I].Prepared, PO));
+      Shard.stampFunctionIndex(I);
+      SerialStats.merge(Shard);
+    }
 
     Arm(); // re-arming restarts the deterministic fault sequence
     ParallelConfig PC;
     PC.Jobs = 4;
     ParallelPreDriver Driver(PC);
     PreStats ParallelStats;
-    PO.Stats = &ParallelStats;
-    CompileOutcomeRecord ParallelOutcome;
-    Function Parallel =
-        Driver.compileFunctionWithFallback(C.Prepared, PO, nullptr,
-                                           &ParallelOutcome);
+    std::vector<Function> Parallel =
+        Driver.compileCorpus(Tasks, &ParallelStats);
     disableFaultInjection();
 
-    EXPECT_EQ(SerialOutcome.degraded(), *Faults != 0);
-    EXPECT_EQ(printFunction(Serial), printFunction(Parallel));
-    EXPECT_EQ(withoutHitCounter(SerialOutcome),
-              withoutHitCounter(ParallelOutcome));
-    EXPECT_EQ(SerialStats.records(), ParallelStats.records());
-    ASSERT_EQ(SerialStats.outcomes().size(), 1u);
-    ASSERT_EQ(ParallelStats.outcomes().size(), 1u);
-    EXPECT_EQ(withoutHitCounter(SerialStats.outcomes()[0]),
-              withoutHitCounter(ParallelStats.outcomes()[0]));
+    ASSERT_EQ(Parallel.size(), Serial.size());
+    for (unsigned I = 0; I != Serial.size(); ++I)
+      EXPECT_EQ(printFunction(Serial[I]), printFunction(Parallel[I]));
     EXPECT_FALSE(SerialStats.records().empty());
+    EXPECT_EQ(SerialStats.records(), ParallelStats.records());
+    ASSERT_EQ(SerialStats.outcomes().size(), Tasks.size());
+    ASSERT_EQ(ParallelStats.outcomes().size(), Tasks.size());
+    for (unsigned I = 0; I != Tasks.size(); ++I) {
+      EXPECT_EQ(SerialStats.outcomes()[I].degraded(), *Faults != 0);
+      EXPECT_EQ(withoutHitCounter(SerialStats.outcomes()[I]),
+                withoutHitCounter(ParallelStats.outcomes()[I]));
+    }
   }
 }
 
 TEST_F(RobustnessTest, ParallelDriverDegradesUnderInjection) {
-  Case C = prepareCase();
+  std::vector<Case> Cases = prepareCorpus();
   ASSERT_TRUE(configureFaultInjection("min-cut:1").isOk());
-  PreOptions PO;
-  PO.Strategy = PreStrategy::McSsaPre;
-  PO.Prof = &C.NodeOnly;
   ParallelConfig PC;
   PC.Jobs = 4;
   ParallelPreDriver Driver(PC);
-  CompileOutcomeRecord O;
-  Function Out = Driver.compileFunctionWithFallback(C.Prepared, PO, nullptr,
-                                                    &O);
-  EXPECT_TRUE(O.degraded());
-  EXPECT_EQ(O.Used, "SSAPREsp");
-  ExecResult Ref = interpret(C.Prepared, TrainArgs);
-  EXPECT_TRUE(interpret(Out, TrainArgs).sameObservableBehavior(Ref));
+  PreStats Stats;
+  std::vector<Function> Out = Driver.compileCorpus(tasksFor(Cases), &Stats);
+  ASSERT_EQ(Stats.outcomes().size(), Cases.size());
+  ExecResult Ref = interpret(Cases[0].Prepared, TrainArgs);
+  for (unsigned I = 0; I != Cases.size(); ++I) {
+    EXPECT_TRUE(Stats.outcomes()[I].degraded());
+    EXPECT_EQ(Stats.outcomes()[I].Used, "SSAPREsp");
+    EXPECT_TRUE(interpret(Out[I], TrainArgs).sameObservableBehavior(Ref));
+  }
 }
 
 TEST_F(RobustnessTest, OutcomeRecordedInStats) {

@@ -76,6 +76,7 @@
 #include "support/CompileCache.h"
 #include "support/CrashContext.h"
 #include "support/FaultInjector.h"
+#include "support/LineCodec.h"
 
 #include <algorithm>
 #include <chrono>
@@ -90,7 +91,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 using namespace specpre;
@@ -127,33 +127,12 @@ std::optional<std::vector<int64_t>> parseIntList(const std::string &S) {
   std::stringstream In(S);
   std::string Item;
   while (std::getline(In, Item, ',')) {
-    try {
-      Out.push_back(std::stoll(Item));
-    } catch (...) {
+    int64_t V;
+    if (!linecodec::parseI64(Item, V))
       return std::nullopt;
-    }
+    Out.push_back(V);
   }
   return Out;
-}
-
-/// Parses the value of a numeric flag, diagnosing a bad one.
-template <typename T>
-bool parseNumberFlag(const char *Flag, const std::string &V, T &Out) {
-  try {
-    if constexpr (std::is_signed_v<T>) {
-      long long N = std::stoll(V);
-      if (N < std::numeric_limits<T>::min() ||
-          N > std::numeric_limits<T>::max())
-        throw std::out_of_range(Flag);
-      Out = static_cast<T>(N);
-    } else {
-      Out = static_cast<T>(std::stoull(V));
-    }
-    return true;
-  } catch (...) {
-    std::fprintf(stderr, "error: bad %s value '%s'\n", Flag, V.c_str());
-    return false;
-  }
 }
 
 int usage(const char *Argv0) {
@@ -186,6 +165,13 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       if (A.rfind(Prefix, 0) == 0)
         return A.substr(N);
       return std::nullopt;
+    };
+    // Numeric values go through the checked codec parsers: digits only
+    // (a sign only where negatives mean something), no trailing
+    // garbage, no overflow.
+    auto BadInt = [](const char *Flag, const std::string &V) {
+      std::fprintf(stderr, "error: bad %s value '%s'\n", Flag, V.c_str());
+      return false;
     };
     if (auto V = Value("--strategy=")) {
       if (!parseStrategyFlag(*V, Req.Strategy)) {
@@ -245,33 +231,36 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
       Opts.ConnectPath = *V;
     } else if (auto V = Value("--timeout-ms=")) {
       Opts.RetryFlagsGiven = true;
-      if (!parseNumberFlag("--timeout-ms", *V, Opts.TimeoutMs))
-        return false;
+      int64_t Ms;
+      if (!linecodec::parseI64(*V, Ms) ||
+          Ms < std::numeric_limits<int>::min() ||
+          Ms > std::numeric_limits<int>::max())
+        return BadInt("--timeout-ms", *V);
+      Opts.TimeoutMs = static_cast<int>(Ms);
     } else if (auto V = Value("--retries=")) {
       Opts.RetryFlagsGiven = true;
-      if (!parseNumberFlag("--retries", *V, Opts.Retries))
-        return false;
+      if (!linecodec::parseU32(*V, Opts.Retries))
+        return BadInt("--retries", *V);
     } else if (auto V = Value("--retry-seed=")) {
       Opts.RetryFlagsGiven = true;
-      if (!parseNumberFlag("--retry-seed", *V, Opts.RetrySeed))
-        return false;
+      if (!linecodec::parseU64(*V, Opts.RetrySeed))
+        return BadInt("--retry-seed", *V);
     } else if (auto V = Value("--jobs=")) {
       Opts.JobsGiven = true;
-      if (!parseNumberFlag("--jobs", *V, Opts.Jobs))
-        return false;
+      if (!linecodec::parseU32(*V, Opts.Jobs))
+        return BadInt("--jobs", *V);
     } else if (auto V = Value("--budget-ms=")) {
-      if (!parseNumberFlag("--budget-ms", *V, Req.Budget.DeadlineMillis))
-        return false;
+      if (!linecodec::parseU64(*V, Req.Budget.DeadlineMillis))
+        return BadInt("--budget-ms", *V);
     } else if (auto V = Value("--max-augmentations=")) {
-      if (!parseNumberFlag("--max-augmentations", *V,
-                           Req.Budget.MaxFlowAugmentations))
-        return false;
+      if (!linecodec::parseU64(*V, Req.Budget.MaxFlowAugmentations))
+        return BadInt("--max-augmentations", *V);
     } else if (auto V = Value("--max-graph-nodes=")) {
-      if (!parseNumberFlag("--max-graph-nodes", *V, Req.Budget.MaxGraphNodes))
-        return false;
+      if (!linecodec::parseU64(*V, Req.Budget.MaxGraphNodes))
+        return BadInt("--max-graph-nodes", *V);
     } else if (auto V = Value("--lospre-max-width=")) {
-      if (!parseNumberFlag("--lospre-max-width", *V, Req.LospreMaxWidth))
-        return false;
+      if (!linecodec::parseU32(*V, Req.LospreMaxWidth))
+        return BadInt("--lospre-max-width", *V);
     } else if (auto V = Value("--inject-faults=")) {
       Opts.InjectFaults = *V;
     } else if (auto V = Value("--cache-dir=")) {

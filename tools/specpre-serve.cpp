@@ -48,11 +48,14 @@
 #include "pre/CompileService.h"
 #include "support/CrashContext.h"
 #include "support/FaultInjector.h"
+#include "support/LineCodec.h"
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -95,6 +98,10 @@ int usage(const char *Argv0) {
 }
 
 bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
+  using linecodec::parseI64;
+  using linecodec::parseU32;
+  using linecodec::parseU64;
+  CompileService::Config &Svc = Opts.Server.Service;
   for (int I = 1; I != Argc; ++I) {
     std::string A = Argv[I];
     auto Value = [&](const char *Prefix) -> std::optional<std::string> {
@@ -103,6 +110,9 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
         return A.substr(N);
       return std::nullopt;
     };
+    // Numeric values go through the checked codec parsers: no trailing
+    // garbage, no overflow, and a sign only on --io-timeout-ms, where a
+    // negative value means no timeout.
     auto BadInt = [&](const char *Flag, const std::string &V) {
       std::fprintf(stderr, "error: bad %s value '%s'\n", Flag, V.c_str());
       return false;
@@ -110,124 +120,84 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
     if (auto V = Value("--socket=")) {
       Opts.Server.SocketPath = *V;
     } else if (auto V = Value("--jobs=")) {
-      try {
-        Opts.Server.Service.Jobs = static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
+      if (!parseU32(*V, Svc.Jobs))
         return BadInt("--jobs", *V);
-      }
     } else if (auto V = Value("--request-workers=")) {
-      try {
-        Opts.Server.Service.RequestWorkers =
-            static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
+      if (!parseU32(*V, Svc.RequestWorkers))
         return BadInt("--request-workers", *V);
-      }
     } else if (auto V = Value("--cache-dir=")) {
-      Opts.Server.Service.CacheDir = *V;
+      Svc.CacheDir = *V;
     } else if (auto V = Value("--cache=")) {
       if (*V == "on")
-        Opts.Server.Service.Mode = CacheMode::On;
+        Svc.Mode = CacheMode::On;
       else if (*V == "off")
-        Opts.Server.Service.Mode = CacheMode::Off;
+        Svc.Mode = CacheMode::Off;
       else {
         std::fprintf(stderr, "error: bad --cache mode '%s'\n", V->c_str());
         return false;
       }
     } else if (auto V = Value("--cache-max-entries=")) {
-      try {
-        Opts.Server.Service.CacheMaxEntries = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.CacheMaxEntries))
         return BadInt("--cache-max-entries", *V);
-      }
     } else if (auto V = Value("--cache-max-disk-mb=")) {
-      try {
-        Opts.Server.Service.CacheMaxDiskBytes =
-            std::stoull(*V) * 1024 * 1024;
-      } catch (...) {
+      uint64_t Mb;
+      if (!parseU64(*V, Mb) || Mb > (UINT64_MAX >> 20))
         return BadInt("--cache-max-disk-mb", *V);
-      }
+      Svc.CacheMaxDiskBytes = Mb << 20;
     } else if (auto V = Value("--cache-durable=")) {
       if (*V == "on")
-        Opts.Server.Service.CacheDurable = true;
+        Svc.CacheDurable = true;
       else if (*V == "off")
-        Opts.Server.Service.CacheDurable = false;
+        Svc.CacheDurable = false;
       else {
         std::fprintf(stderr, "error: bad --cache-durable value '%s'\n",
                      V->c_str());
         return false;
       }
     } else if (auto V = Value("--cache-breaker-threshold=")) {
-      try {
-        Opts.Server.Service.CacheBreakerThreshold = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.CacheBreakerThreshold))
         return BadInt("--cache-breaker-threshold", *V);
-      }
     } else if (auto V = Value("--cache-breaker-cooldown-ms=")) {
-      try {
-        Opts.Server.Service.CacheBreakerCooldownMs = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.CacheBreakerCooldownMs))
         return BadInt("--cache-breaker-cooldown-ms", *V);
-      }
     } else if (auto V = Value("--cache-scrub-interval-ms=")) {
-      try {
-        Opts.Server.Service.CacheScrubIntervalMs = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.CacheScrubIntervalMs))
         return BadInt("--cache-scrub-interval-ms", *V);
-      }
     } else if (auto V = Value("--cache-scrub-bytes-per-sec=")) {
-      try {
-        Opts.Server.Service.CacheScrubBytesPerSec = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.CacheScrubBytesPerSec))
         return BadInt("--cache-scrub-bytes-per-sec", *V);
-      }
     } else if (auto V = Value("--io-timeout-ms=")) {
-      try {
-        Opts.Server.IoTimeoutMs = std::stoi(*V);
-      } catch (...) {
+      int64_t Ms;
+      if (!parseI64(*V, Ms) || Ms < std::numeric_limits<int>::min() ||
+          Ms > std::numeric_limits<int>::max())
         return BadInt("--io-timeout-ms", *V);
-      }
+      Opts.Server.IoTimeoutMs = static_cast<int>(Ms);
     } else if (auto V = Value("--max-requests=")) {
-      try {
-        Opts.Server.MaxRequests = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Opts.Server.MaxRequests))
         return BadInt("--max-requests", *V);
-      }
     } else if (auto V = Value("--metrics-out=")) {
       Opts.MetricsOutPath = *V;
     } else if (auto V = Value("--isolate=")) {
       if (*V == "in-process")
-        Opts.Server.Service.Isolation = IsolationMode::InProcess;
+        Svc.Isolation = IsolationMode::InProcess;
       else if (*V == "process")
-        Opts.Server.Service.Isolation = IsolationMode::Process;
+        Svc.Isolation = IsolationMode::Process;
       else {
         std::fprintf(stderr, "error: bad --isolate mode '%s'\n", V->c_str());
         return false;
       }
     } else if (auto V = Value("--request-deadline-ms=")) {
-      try {
-        Opts.Server.Service.RequestDeadlineMs = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.RequestDeadlineMs))
         return BadInt("--request-deadline-ms", *V);
-      }
     } else if (auto V = Value("--worker-mem-mb=")) {
-      try {
-        Opts.Server.Service.WorkerMemLimitMb = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.WorkerMemLimitMb))
         return BadInt("--worker-mem-mb", *V);
-      }
     } else if (auto V = Value("--quarantine-after=")) {
-      try {
-        Opts.Server.Service.QuarantineAfter =
-            static_cast<unsigned>(std::stoul(*V));
-      } catch (...) {
+      if (!parseU32(*V, Svc.QuarantineAfter))
         return BadInt("--quarantine-after", *V);
-      }
     } else if (auto V = Value("--queue-depth=")) {
-      try {
-        Opts.Server.Service.QueueMaxDepth = std::stoull(*V);
-      } catch (...) {
+      if (!parseU64(*V, Svc.QueueMaxDepth))
         return BadInt("--queue-depth", *V);
-      }
     } else if (auto V = Value("--pidfile=")) {
       Opts.PidfilePath = *V;
     } else if (auto V = Value("--inject-faults=")) {
