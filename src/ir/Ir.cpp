@@ -238,9 +238,14 @@ VarId Function::findVar(const std::string &VarName) const {
 
 VarId Function::makeFreshVar(const std::string &Hint) {
   std::string Candidate = Hint;
-  unsigned Suffix = 0;
-  while (findVar(Candidate) != InvalidVar)
-    Candidate = Hint + "." + std::to_string(Suffix++);
+  if (findVar(Candidate) != InvalidVar) {
+    // Every suffix below the counter is taken (names are never removed),
+    // so probing resumes there and yields the same name as probing from 0.
+    unsigned &Suffix = FreshSuffix[Hint];
+    do
+      Candidate = Hint + "." + std::to_string(Suffix++);
+    while (findVar(Candidate) != InvalidVar);
+  }
   VarNames.push_back(Candidate);
   return static_cast<VarId>(VarNames.size() - 1);
 }

@@ -259,6 +259,11 @@ private:
   /// findVar's first-match semantics should a duplicate ever appear.
   mutable std::map<std::string, VarId> VarIndex;
   mutable unsigned IndexedVars = 0;
+
+  /// Per-hint next suffix for makeFreshVar, so a run of fresh names with
+  /// one hint (the parser's "t$" temporaries) costs amortized O(1) probes
+  /// instead of re-probing "hint.0", "hint.1", ... from zero.
+  std::map<std::string, unsigned> FreshSuffix;
 };
 
 /// A translation unit: a list of functions.

@@ -8,17 +8,31 @@
 
 using namespace specpre;
 
+// Ill-formed IR (an out-of-range variable or block id) still prints, so
+// the verifier can quote the statement it rejects.
+static std::string varText(const Function &F, VarId V) {
+  if (V < 0 || V >= static_cast<VarId>(F.numVars()))
+    return "<invalid var " + std::to_string(V) + ">";
+  return F.varName(V);
+}
+
+static std::string blockText(const Function &F, BlockId B) {
+  if (B < 0 || B >= static_cast<BlockId>(F.numBlocks()))
+    return "<invalid block " + std::to_string(B) + ">";
+  return F.Blocks[B].Label;
+}
+
 std::string specpre::printOperand(const Function &F, const Operand &O) {
   if (O.isConst())
     return std::to_string(O.Value);
-  std::string S = F.varName(O.Var);
+  std::string S = varText(F, O.Var);
   if (O.Version > 0)
     S += "#" + std::to_string(O.Version);
   return S;
 }
 
 static std::string printDest(const Function &F, const Stmt &S) {
-  std::string D = F.varName(S.Dest);
+  std::string D = varText(F, S.Dest);
   if (S.DestVersion > 0)
     D += "#" + std::to_string(S.DestVersion);
   return D;
@@ -43,16 +57,16 @@ std::string specpre::printStmt(const Function &F, const Stmt &S) {
   case StmtKind::Phi:
     OS << printDest(F, S) << " = phi";
     for (const PhiArg &A : S.PhiArgs)
-      OS << " [" << F.Blocks[A.Pred].Label << ": " << printOperand(F, A.Val)
+      OS << " [" << blockText(F, A.Pred) << ": " << printOperand(F, A.Val)
          << "]";
     break;
   case StmtKind::Branch:
     OS << "br " << printOperand(F, S.Src0) << ", "
-       << F.Blocks[S.TrueTarget].Label << ", "
-       << F.Blocks[S.FalseTarget].Label;
+       << blockText(F, S.TrueTarget) << ", "
+       << blockText(F, S.FalseTarget);
     break;
   case StmtKind::Jump:
-    OS << "jmp " << F.Blocks[S.TrueTarget].Label;
+    OS << "jmp " << blockText(F, S.TrueTarget);
     break;
   case StmtKind::Ret:
     OS << "ret " << printOperand(F, S.Src0);
@@ -70,7 +84,7 @@ std::string specpre::printFunction(const Function &F) {
   for (unsigned I = 0; I != F.Params.size(); ++I) {
     if (I != 0)
       OS << ", ";
-    OS << F.varName(F.Params[I]);
+    OS << varText(F, F.Params[I]);
   }
   OS << ") {\n";
   for (const BasicBlock &BB : F.Blocks) {

@@ -297,3 +297,26 @@ TEST(Parser, RejectsMissingTerminatorContentGracefully) {
   std::string VerifyError;
   EXPECT_FALSE(verifyFunction(M->Functions[0], VerifyError));
 }
+
+TEST(Parser, FreshTemporariesSkipDeclaredNames) {
+  // The source already holds t$, t$.0 and t$.2, so the temporaries the
+  // nested expression materializes take the free suffixes in order.
+  Function F = parseFunctionOrDie(R"(
+    func f(a, b) {
+    entry:
+      t$ = a
+      t$.0 = b
+      t$.2 = 7
+      x = (a + b) * (a - b) + (t$ + t$.0) * t$.2
+      ret x
+    }
+  )");
+  std::vector<std::string> Expected = {"a",    "b",    "t$",   "t$.0",
+                                       "t$.2", "x",    "t$.1", "t$.3",
+                                       "t$.4", "t$.5", "t$.6", "t$.7"};
+  EXPECT_EQ(F.VarNames, Expected);
+  EXPECT_EQ(interpret(F, {5, 3}).ReturnValue, (5 + 3) * (5 - 3) + (5 + 3) * 7);
+  // Later fresh names keep counting from where the parser left off.
+  EXPECT_EQ(F.varName(F.makeFreshVar("t$")), "t$.8");
+  EXPECT_EQ(F.varName(F.makeFreshVar("x")), "x.0");
+}

@@ -10,6 +10,7 @@
 #include "analysis/Cfg.h"
 #include "analysis/DomTree.h"
 #include "interp/Interpreter.h"
+#include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "opt/Cleanup.h"
 #include "opt/ValueNumbering.h"
@@ -214,4 +215,68 @@ TEST(Stress, ArenaNetworkBuildsStayFlat) {
   EXPECT_EQ(McPreSteady.arena().NetworkBuilds,
             20 * McPreWarm.arena().NetworkBuilds);
   EXPECT_LE(McPreSteady.arena().PeakBytes, McPreWarm.arena().PeakBytes);
+}
+
+// Near-linear guards. No input within the 64 MiB SPV1 frame cap may pin a
+// worker, so the verifier and the parser must stay near-linear in input
+// size. Each case also runs as its own ctest under a short TIMEOUT
+// (tests/CMakeLists.txt): a quadratic verifier needs about 2.5e9 block
+// visits for the first, a quadratic parser about 5e9 name probes for the
+// second.
+
+TEST(NearLinear, VerifierLongStraightLineChain) {
+  // entry defines v#1; each of the 50,000 blocks after it uses v#1 and
+  // the previous block's value, so every use is a cross-block dominance
+  // query.
+  constexpr unsigned NumBlocks = 50000;
+  Function F;
+  F.Name = "chain";
+  F.IsSSA = true;
+  VarId P = F.getOrAddVar("p");
+  VarId V = F.getOrAddVar("v");
+  VarId W = F.getOrAddVar("w");
+  F.Params.push_back(P);
+  for (unsigned B = 0; B != NumBlocks; ++B)
+    F.addBlock("b" + std::to_string(B));
+  F.Blocks[0].Stmts = {
+      Stmt::makeCompute(V, Opcode::Add, Operand::makeVar(P, 1),
+                        Operand::makeConst(1), 1),
+      Stmt::makeCopy(W, Operand::makeVar(V, 1), 1),
+      Stmt::makeJump(1)};
+  for (unsigned B = 1; B != NumBlocks; ++B) {
+    int Ver = static_cast<int>(B) + 1;
+    F.Blocks[B].Stmts = {Stmt::makeCompute(W, Opcode::Add,
+                                           Operand::makeVar(W, Ver - 1),
+                                           Operand::makeVar(V, 1), Ver),
+                         B + 1 == NumBlocks
+                             ? Stmt::makeRet(Operand::makeVar(W, Ver))
+                             : Stmt::makeJump(static_cast<BlockId>(B + 1))};
+  }
+  std::string Error;
+  EXPECT_TRUE(verifyFunction(F, Error)) << Error;
+
+  // The same chain with the first block's definition moved off the path
+  // (into an unreachable block): the last use must still be rejected.
+  F.Blocks[1].Stmts.back() = Stmt::makeJump(2);
+  F.Blocks[0].Stmts.back() = Stmt::makeJump(2);
+  EXPECT_FALSE(verifyFunction(F, Error));
+  EXPECT_EQ(Error, "function 'chain': definition of 'w#2' does not dominate "
+                   "use in block 'b2': w#3 = w#2 + v#1");
+}
+
+TEST(NearLinear, ParserManyTemporaries) {
+  // Each line materializes four temporaries: 25,000 lines give 100,000
+  // "t$" names (about 0.7 MB of text).
+  constexpr unsigned NumLines = 25000;
+  std::string Text = "func f(a, b) {\nentry:\n  x = a\n";
+  for (unsigned I = 0; I != NumLines; ++I)
+    Text += "  x = (x + b) * (a - x) + " + std::to_string(I % 97) + "\n";
+  Text += "  ret x\n}\n";
+  std::string Error;
+  std::optional<Module> M = parseModule(Text, Error);
+  ASSERT_TRUE(M.has_value()) << Error;
+  const Function &F = M->Functions.front();
+  EXPECT_EQ(F.numVars(), 3u + 4 * NumLines);
+  EXPECT_EQ(F.VarNames.back(), "t$." + std::to_string(4 * NumLines - 2));
+  EXPECT_TRUE(verifyFunction(F, Error)) << Error;
 }
