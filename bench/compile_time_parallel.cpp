@@ -1,8 +1,8 @@
 //===- bench/compile_time_parallel.cpp - Parallel pipeline speedup --------------===//
 //
 // Serial-vs-parallel compile time of the full CPU2006 stand-in corpus
-// under MC-SSAPRE. The parallel driver fans out per-function compiles
-// and per-expression placement onto the work-stealing pool; this bench
+// under MC-SSAPRE. The parallel driver fans out one compile per function
+// onto the thread pool; this bench
 // measures wall time at 1, 2, and 4 workers, checks that every
 // configuration produces byte-identical IR (the determinism guarantee
 // the differential tests assert), and reports where the time goes using

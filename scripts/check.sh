@@ -2,8 +2,8 @@
 # Full verification sweep: builds the project under Release, ASan/UBSan,
 # and TSan, and runs the whole ctest suite under each. TSan is the build
 # that actually exercises the parallel PRE driver for data races (the
-# differential tests spin up the work-stealing pool at several worker
-# counts), so a green TSan run here is the race-freedom check the
+# differential tests spin up the shared-index thread pool at several
+# worker counts), so a green TSan run here is the race-freedom check the
 # parallel pipeline relies on.
 #
 # Usage: scripts/check.sh [jobs]        (default: nproc)

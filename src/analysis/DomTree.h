@@ -18,6 +18,7 @@
 #include "analysis/Cfg.h"
 #include "ir/Ir.h"
 
+#include <utility>
 #include <vector>
 
 namespace specpre {
@@ -77,6 +78,31 @@ private:
   std::vector<int> DfsIn, DfsOut;
   std::vector<BlockId> Preorder;
 };
+
+/// Depth-first walk of the whole of \p DT, without recursion: Enter(B)
+/// runs before B's subtree and returns a mark (typically the sizes of the
+/// walker's undo logs); Exit(Mark) runs after the subtree. Blocks come in
+/// preorder, children in children() order: the visit order of a
+/// recursive walk from the root, but a dominator tree as deep as the
+/// function is long (a straight-line chain of blocks) cannot overflow the
+/// call stack. Walking preorder() with an explicit stack of open blocks
+/// measured faster than iterating children() lists.
+template <typename EnterFn, typename ExitFn>
+void walkDomTree(const DomTree &DT, EnterFn &&Enter, ExitFn &&Exit) {
+  using Mark = decltype(Enter(DT.root()));
+  std::vector<std::pair<BlockId, Mark>> Open;
+  for (BlockId B : DT.preorder()) {
+    while (!Open.empty() && !DT.dominates(Open.back().first, B)) {
+      Exit(Open.back().second);
+      Open.pop_back();
+    }
+    Open.emplace_back(B, Enter(B));
+  }
+  while (!Open.empty()) {
+    Exit(Open.back().second);
+    Open.pop_back();
+  }
+}
 
 } // namespace specpre
 

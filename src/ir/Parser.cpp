@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 using namespace specpre;
@@ -249,6 +250,28 @@ private:
   /// Emits `Temp = L Op R` into \p PB and returns the temp as an operand.
   Operand materialize(PendingBlock &PB, Opcode Op, Operand L, Operand R);
 
+  /// The variable the source spells \p Name, added on first use.
+  VarId sourceVar(const std::string &Name);
+
+  /// Names the materialized temporaries `t$`, `t$.0`, `t$.1`, ... in
+  /// VarId order, skipping every name the function's source spells, and
+  /// hands the finished name table to CurF.
+  void nameTemporaries();
+
+  /// Opens one level of expression nesting (a parenthesis, a unary minus
+  /// on a non-literal, a min/max call); fails past MaxExprNesting so that
+  /// no input can exhaust the parser's stack.
+  bool enterNesting() {
+    if (Nesting == MaxExprNesting)
+      return fail("expression nesting exceeds " +
+                  std::to_string(MaxExprNesting) + " levels");
+    ++Nesting;
+    return true;
+  }
+
+  /// Printed IR never nests; hand-written programs nest a few levels.
+  static constexpr unsigned MaxExprNesting = 1000;
+
   bool resolveFunction(Function &F, std::vector<PendingBlock> &Pending,
                        std::string &Error);
 
@@ -256,12 +279,17 @@ private:
   Token Tok;
   std::string Err;
   Function *CurF = nullptr;
+  /// CurF's variable names by VarId while it is parsed. A temporary holds
+  /// an empty placeholder, which no identifier spells, until
+  /// nameTemporaries(); so a source reference never binds to one.
+  std::vector<std::string> VarNames;
+  std::unordered_map<std::string, VarId> SourceVars;
+  std::vector<VarId> Temps; ///< Materialized temporaries, in VarId order.
   /// The temp most recently created by materialize(). The assignment
   /// parser retargets a just-materialized top-level Compute onto the
-  /// assignment's destination; tracking the temp by id (not by its "t$"
-  /// name prefix) keeps a source program's own t$-named variables safe
-  /// from that peephole.
+  /// assignment's destination.
   VarId LastMaterialized = InvalidVar;
+  unsigned Nesting = 0; ///< Open expression nesting levels.
 };
 
 int Parser::currentBinop(Opcode &Op) const {
@@ -337,13 +365,45 @@ int Parser::currentBinop(Opcode &Op) const {
 
 Operand Parser::materialize(PendingBlock &PB, Opcode Op, Operand L,
                             Operand R) {
-  VarId Temp = CurF->makeFreshVar("t$");
+  VarId Temp = static_cast<VarId>(VarNames.size());
+  VarNames.emplace_back();
+  Temps.push_back(Temp);
   PendingStmt PS;
   PS.S = Stmt::makeCompute(Temp, Op, L, R);
   PS.Line = Tok.Line;
   PB.Stmts.push_back(std::move(PS));
   LastMaterialized = Temp;
   return Operand::makeVar(Temp);
+}
+
+VarId Parser::sourceVar(const std::string &Name) {
+  auto [It, Inserted] =
+      SourceVars.try_emplace(Name, static_cast<VarId>(VarNames.size()));
+  if (Inserted)
+    VarNames.push_back(Name);
+  return It->second;
+}
+
+void Parser::nameTemporaries() {
+  const std::string Hint = "t$";
+  bool HintFree = !SourceVars.count(Hint);
+  unsigned Suffix = 0;
+  for (VarId T : Temps) {
+    if (HintFree) {
+      VarNames[T] = Hint;
+      HintFree = false;
+      continue;
+    }
+    std::string Name;
+    do
+      Name = Hint + "." + std::to_string(Suffix++);
+    while (SourceVars.count(Name));
+    VarNames[T] = std::move(Name);
+  }
+  CurF->VarNames = std::move(VarNames);
+  VarNames.clear();
+  SourceVars.clear();
+  Temps.clear();
 }
 
 bool Parser::parseOptionalVersion(int &Version) {
@@ -365,7 +425,7 @@ bool Parser::parseVarRef(Operand &Out) {
   int Version;
   if (!parseOptionalVersion(Version))
     return false;
-  Out = Operand::makeVar(CurF->getOrAddVar(Name), Version);
+  Out = Operand::makeVar(sourceVar(Name), Version);
   return true;
 }
 
@@ -384,19 +444,25 @@ bool Parser::parseAtom(PendingBlock &PB, Operand &Out) {
     }
     // Unary minus on a general atom: materialize `0 - atom`.
     Operand Inner;
-    if (!parseAtom(PB, Inner))
+    if (!enterNesting() || !parseAtom(PB, Inner))
       return false;
+    --Nesting;
     Out = materialize(PB, Opcode::Sub, Operand::makeConst(0), Inner);
     return true;
   }
   if (isPunct("(")) {
+    if (!enterNesting())
+      return false;
     advance();
     if (!parseExpr(PB, 0, Out))
       return false;
+    --Nesting;
     return expectPunct(")");
   }
   if (isIdent("min") || isIdent("max")) {
     Opcode Op = isIdent("min") ? Opcode::Min : Opcode::Max;
+    if (!enterNesting())
+      return false;
     advance();
     if (!expectPunct("("))
       return false;
@@ -404,6 +470,7 @@ bool Parser::parseAtom(PendingBlock &PB, Operand &Out) {
     if (!parseExpr(PB, 0, L) || !expectPunct(",") || !parseExpr(PB, 0, R) ||
         !expectPunct(")"))
       return false;
+    --Nesting;
     Out = materialize(PB, Op, L, R);
     return true;
   }
@@ -566,7 +633,7 @@ bool Parser::parseBlockBody(PendingBlock &PB, std::string &NextLabel) {
       int Version;
       if (!parseOptionalVersion(Version) || !expectPunct("="))
         return false;
-      if (!parseAssignmentRhs(PB, CurF->getOrAddVar(Name), Version))
+      if (!parseAssignmentRhs(PB, sourceVar(Name), Version))
         return false;
       continue;
     }
@@ -591,7 +658,7 @@ std::optional<Function> Parser::parseFunction() {
     std::string PName;
     if (!parseIdent(PName))
       return std::nullopt;
-    F.Params.push_back(F.getOrAddVar(PName));
+    F.Params.push_back(sourceVar(PName));
     if (isPunct(","))
       advance();
     else
@@ -624,6 +691,7 @@ std::optional<Function> Parser::parseFunction() {
   }
   if (!expectPunct("}"))
     return std::nullopt;
+  nameTemporaries();
 
   std::string Error;
   if (!resolveFunction(F, Pending, Error)) {

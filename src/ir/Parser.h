@@ -23,7 +23,10 @@
 /// SSA versions are written with a '#' suffix (x#2); phis are written
 /// `x = phi [pred1: a] [pred2: 3]`. Nested expressions are flattened into
 /// fresh temporaries so that every Compute statement is a first-order
-/// binary expression, exactly the candidate shape SSAPRE expects.
+/// binary expression, exactly the candidate shape SSAPRE expects. The
+/// temporaries are named `t$`, `t$.0`, ..., skipping every name the
+/// function's source spells, and expressions nest at most 1,000 levels
+/// (docs/IR.md).
 ///
 //===----------------------------------------------------------------------===//
 

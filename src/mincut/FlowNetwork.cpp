@@ -43,10 +43,7 @@ void FlowNetwork::freeze() {
   FwdSlot.assign(M, 0);
   // Fill[] tracks the next free slot per node; reuse FwdSlot's final
   // values afterwards, so Fill must be separate while filling.
-  ArenaVector<uint32_t> Fill(Arena);
-  Fill.resize(N, 0);
-  for (size_t I = 0; I != N; ++I)
-    Fill[I] = Start[I];
+  std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
 
   for (size_t E = 0; E != M; ++E) {
     const OrigEdge &O = Orig[E];

@@ -18,18 +18,15 @@
 /// idempotent and is invoked by the solvers; adding an edge to a frozen
 /// network unfreezes it (losing any flow) and the next freeze rebuilds.
 ///
-/// All storage can be drawn from a BumpArena (support/Arena.h), which
-/// the PRE legs reset per candidate expression — steady-state network
-/// construction then performs no heap allocation at all.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECPRE_MINCUT_FLOWNETWORK_H
 #define SPECPRE_MINCUT_FLOWNETWORK_H
 
-#include "support/Arena.h"
-
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace specpre {
 
@@ -93,9 +90,7 @@ public:
   using EdgeRange = EdgeSpan<Edge>;
   using ConstEdgeRange = EdgeSpan<const Edge>;
 
-  explicit FlowNetwork(int NumNodes = 0, BumpArena *A = nullptr)
-      : Arena(A), NumNodes_(NumNodes), Orig(A), Csr(A), Start(A),
-        FwdSlot(A) {}
+  explicit FlowNetwork(int NumNodes = 0) : NumNodes_(NumNodes) {}
 
   int addNode() {
     assert(!Frozen && "addNode on a frozen network");
@@ -108,10 +103,6 @@ public:
   /// caller tag (used to map cut edges back to FRG edges). Returns an
   /// opaque id usable with edgeFlow().
   int addEdge(int From, int To, int64_t Cap, int UserTag = -1);
-
-  /// Pre-sizes the original-edge array (arena users reserve up front so
-  /// construction never abandons a grown buffer inside the arena).
-  void reserveEdges(size_t N) { Orig.reserve(N); }
 
   /// Builds the CSR layout; idempotent. Solvers call this on entry, so
   /// callers only need it when walking edgesFrom() on a never-solved
@@ -179,13 +170,12 @@ private:
     int64_t Cap;
   };
 
-  BumpArena *Arena;
   int NumNodes_ = 0;
   bool Frozen = false;
-  ArenaVector<OrigEdge> Orig;    ///< One record per addEdge call.
-  ArenaVector<Edge> Csr;         ///< 2 * Orig.size() residual edge slots.
-  ArenaVector<uint32_t> Start;   ///< numNodes+1 CSR offsets.
-  ArenaVector<uint32_t> FwdSlot; ///< Original edge id -> forward CSR slot.
+  std::vector<OrigEdge> Orig;    ///< One record per addEdge call.
+  std::vector<Edge> Csr;         ///< 2 * Orig.size() residual edge slots.
+  std::vector<uint32_t> Start;   ///< numNodes+1 CSR offsets.
+  std::vector<uint32_t> FwdSlot; ///< Original edge id -> forward CSR slot.
 };
 
 } // namespace specpre

@@ -66,7 +66,9 @@ public:
       : F(F), C(F), DT(DomTree::buildDominators(C)) {}
 
   unsigned run() {
-    visit(0);
+    walkDomTree(
+        DT, [this](BlockId B) { return enterBlock(B); },
+        [this](Mark M) { exitBlock(M); });
     return Simplified;
   }
 
@@ -95,7 +97,15 @@ private:
     LeaderUndo.push_back(Key);
   }
 
-  void visit(BlockId B);
+  /// ExprUndo and LeaderUndo sizes at a block's entry.
+  using Mark = std::pair<size_t, size_t>;
+
+  /// Numbers B's statements and its successors' phi arguments; the
+  /// values B defines stay in the tables for its dominator subtree.
+  /// Returns the mark exitBlock() undoes back to.
+  Mark enterBlock(BlockId B);
+  /// Drops the table entries added since \p M.
+  void exitBlock(Mark M);
 
   Function &F;
   Cfg C;
@@ -109,9 +119,8 @@ private:
   std::vector<ValueHandle> LeaderUndo;
 };
 
-void Gvn::visit(BlockId B) {
-  size_t ExprMark = ExprUndo.size();
-  size_t LeaderMark = LeaderUndo.size();
+Gvn::Mark Gvn::enterBlock(BlockId B) {
+  Mark M{ExprUndo.size(), LeaderUndo.size()};
 
   BasicBlock &BB = F.Blocks[B];
 
@@ -215,10 +224,11 @@ void Gvn::visit(BlockId B) {
         Arg = H.toOperand();
     }
   }
+  return M;
+}
 
-  for (BlockId Child : DT.children(B))
-    visit(Child);
-
+void Gvn::exitBlock(Mark M) {
+  auto [ExprMark, LeaderMark] = M;
   while (ExprUndo.size() > ExprMark) {
     ExprTable.erase(ExprUndo.back());
     ExprUndo.pop_back();

@@ -7,7 +7,7 @@
 /// \file
 /// The compilation service behind specpre-serve (docs/SERVING.md): a
 /// long-lived front end over the batch pipeline that lets many clients
-/// share one warm process — one work-stealing ThreadPool, one
+/// share one warm process — one shared-index ThreadPool, one
 /// content-addressed CompileCache (memory LRU + shared disk tier) — so
 /// repeat compilations of the same function/profile/options are served
 /// from cache no matter which client asks.
@@ -31,7 +31,9 @@
 ///    request through processServeRequest (full degradation ladder,
 ///    budgets, metrics). Request workers only orchestrate — the
 ///    functions of one request fan out over the shared ThreadPool,
-///    which is safe to drive from several requests at once.
+///    which is safe to drive from several requests at once: each
+///    request's parallelFor is a job of its own, which the requesting
+///    worker drains and idle pool threads help with.
 ///
 ///  * ServeServer — the socket front end: accept loop, per-connection
 ///    reader threads, frame dispatch ('P' ping, 'C' compile, 'S' stats),

@@ -54,7 +54,9 @@ public:
       D.PhiArgs.assign(P.Operands.size(), -1);
       PhiDefIdx[PI] = makeDef(std::move(D));
     }
-    visit(0);
+    walkDomTree(
+        DT, [this](BlockId B) { return enterBlock(B); },
+        [this](size_t Mark) { exitBlock(Mark); });
     markLiveness();
     return std::move(Plan);
   }
@@ -65,7 +67,12 @@ private:
     return static_cast<int>(Plan.TempDefs.size()) - 1;
   }
 
-  void visit(BlockId B);
+  /// Steps 1-3 of the walk at B; the values B provides stay on the
+  /// class stacks for its dominator subtree. Returns the mark exitBlock()
+  /// pops back to.
+  size_t enterBlock(BlockId B);
+  /// Pops the values provided since \p Mark.
+  void exitBlock(size_t Mark);
   void markLiveness();
 
   Frg &G;
@@ -79,10 +86,12 @@ private:
   /// the value on the dominator path.
   std::vector<std::vector<int>> AvailStack;
   std::vector<int> PhiDefIdx; ///< Per Φ: its TempDef index (wba only).
+  /// Classes whose AvailStack was pushed, in push order, along the path.
+  std::vector<int> PushedClasses;
 };
 
-void Finalizer::visit(BlockId B) {
-  std::vector<int> PoppedClasses;
+size_t Finalizer::enterBlock(BlockId B) {
+  size_t Mark = PushedClasses.size();
 
   // 1. A will_be_avail Φ provides the value for its class from the top
   // of block B (its TempDef was pre-created in run()).
@@ -90,7 +99,7 @@ void Finalizer::visit(BlockId B) {
   if (PhiIdx >= 0 && G.phis()[PhiIdx].WillBeAvail) {
     const PhiOcc &P = G.phis()[PhiIdx];
     AvailStack[P.Class].push_back(PhiDefIdx[PhiIdx]);
-    PoppedClasses.push_back(P.Class);
+    PushedClasses.push_back(P.Class);
   }
 
   // 2. Real occurrences: reload when a dominating definition of the same
@@ -109,7 +118,7 @@ void Finalizer::visit(BlockId B) {
     D.RealIdx = RI;
     int Idx = makeDef(std::move(D));
     Stack.push_back(Idx);
-    PoppedClasses.push_back(R.Class);
+    PushedClasses.push_back(R.Class);
   }
 
   // 3. At the block's end, feed the operands of will_be_avail Φs in the
@@ -143,11 +152,15 @@ void Finalizer::visit(BlockId B) {
     }
   }
 
-  // 4. Dominator-tree recursion, then restore the stacks.
-  for (BlockId Child : DT.children(B))
-    visit(Child);
-  for (int Cls : PoppedClasses)
-    AvailStack[Cls].pop_back();
+  // 4. The walk visits B's dominator-tree children, then exitBlock()
+  // restores the stacks.
+  return Mark;
+}
+
+void Finalizer::exitBlock(size_t Mark) {
+  for (size_t I = Mark; I != PushedClasses.size(); ++I)
+    AvailStack[PushedClasses[I]].pop_back();
+  PushedClasses.resize(Mark);
 }
 
 void Finalizer::markLiveness() {

@@ -38,7 +38,11 @@ public:
       VarStacks[P].push_back(1);
   }
 
-  void run() { visit(0); }
+  void run() {
+    walkDomTree(
+        DT, [this](BlockId B) { return enterBlock(B); },
+        [this](Mark M) { exitBlock(M); });
+  }
 
 private:
   struct StackEntry {
@@ -57,7 +61,14 @@ private:
 
   int newClass(OccRef Def) { return G.allocateClass(Def); }
 
-  void visit(BlockId B);
+  /// ExprStack and VarPushes sizes at a block's entry.
+  using Mark = std::pair<size_t, size_t>;
+
+  /// Steps 1-4 of the walk at B: pushes B's definitions and occurrences
+  /// for its dominator subtree. Returns the mark exitBlock() pops back to.
+  Mark enterBlock(BlockId B);
+  /// Step 6: pops what was pushed since \p M.
+  void exitBlock(Mark M);
   void handleReal(int RealIdx);
   void fillSuccessorOperands(BlockId B);
 
@@ -72,6 +83,7 @@ private:
   std::vector<std::vector<int>> RealAt;
   std::vector<std::vector<int>> VarStacks;
   std::vector<StackEntry> ExprStack;
+  std::vector<VarId> VarPushes; ///< operand vars pushed along the path
 };
 
 void Renamer::handleReal(int RealIdx) {
@@ -163,10 +175,9 @@ void Renamer::fillSuccessorOperands(BlockId B) {
   }
 }
 
-void Renamer::visit(BlockId B) {
+Renamer::Mark Renamer::enterBlock(BlockId B) {
   const BasicBlock &BB = F.Blocks[B];
-  unsigned ExprPushed = 0;
-  std::vector<VarId> VarPushes;
+  Mark M{ExprStack.size(), VarPushes.size()};
 
   auto PushVarDef = [&](VarId V, int Version) {
     if (V != LVar && V != RVar)
@@ -190,13 +201,11 @@ void Renamer::visit(BlockId B) {
     ExprStack.push_back(
         StackEntry{P.Class, OccRef::phi(PhiIdx), P.LVerAtEntry,
                    P.RVerAtEntry});
-    ++ExprPushed;
   }
 
   // 3. Straight-line statements: real occurrences and operand kills.
   unsigned NextReal = 0;
   const std::vector<int> &RealsHere = RealAt[B];
-  unsigned StackBefore = static_cast<unsigned>(ExprStack.size());
   for (; I != BB.Stmts.size(); ++I) {
     const Stmt &S = BB.Stmts[I];
     if (NextReal != RealsHere.size() &&
@@ -207,20 +216,21 @@ void Renamer::visit(BlockId B) {
     if (S.definesValue())
       PushVarDef(S.Dest, S.DestVersion);
   }
-  ExprPushed += static_cast<unsigned>(ExprStack.size()) - StackBefore;
 
   // 4. Assign Φ operands in CFG successors for the edges leaving B.
   fillSuccessorOperands(B);
 
-  // 5. Recurse over dominator-tree children.
-  for (BlockId Child : DT.children(B))
-    visit(Child);
+  // 5. The walk then visits B's dominator-tree children.
+  return M;
+}
 
+void Renamer::exitBlock(Mark M) {
   // 6. Restore the stacks.
-  for (unsigned K = 0; K != ExprPushed; ++K)
-    ExprStack.pop_back();
-  for (VarId V : VarPushes)
-    VarStacks[V].pop_back();
+  auto [ExprMark, VarMark] = M;
+  ExprStack.resize(ExprMark);
+  for (size_t I = VarMark; I != VarPushes.size(); ++I)
+    VarStacks[VarPushes[I]].pop_back();
+  VarPushes.resize(VarMark);
 }
 
 } // namespace

@@ -130,8 +130,8 @@ void specpre::computeWillBeAvailFromInserts(Frg &G) {
 }
 
 EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
-                                  CutObjective Objective, BumpArena *Arena) {
-  EfgBuild B(Arena);
+                                  CutObjective Objective) {
+  EfgBuild B;
   auto EdgeWeight = [&](uint64_t Freq) {
     int64_t W =
         saturatedEdgeWeight(Freq, Objective.SpeedWeight, Objective.SizeWeight);
@@ -206,27 +206,16 @@ EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
 
   // One network serves the remaining build steps: graph reduction chose
   // its nodes, the single-source step adds the type-1 edges, the
-  // single-sink step the infinite sink edges. Reserve up front so the
-  // arena never strands a grown buffer.
+  // single-sink step the infinite sink edges.
   B.Source = B.Net.addNode();
   B.Sink = B.Net.addNode();
-  ArenaVector<int> PhiNode(Arena), RealNode(Arena);
-  PhiNode.resize(G.phis().size(), -1);
+  std::vector<int> PhiNode(G.phis().size(), -1);
   for (unsigned I = 0; I != G.phis().size(); ++I)
     if (G.phis()[I].InReducedGraph)
       PhiNode[I] = B.Net.addNode();
-  RealNode.resize(G.reals().size(), -1);
+  std::vector<int> RealNode(G.reals().size(), -1);
   for (int RI : SprReals)
     RealNode[RI] = B.Net.addNode();
-
-  {
-    size_t MaxEdges = 2 * SprReals.size();
-    for (const PhiOcc &P : G.phis())
-      if (P.InReducedGraph)
-        MaxEdges += P.Operands.size();
-    B.Net.reserveEdges(MaxEdges);
-    B.Actions.reserve(MaxEdges);
-  }
 
   auto AddEdge = [&](int From, int To, int64_t Weight, EfgBuild::Action A) {
     B.Net.addEdge(From, To, Weight, static_cast<int>(B.Actions.size()));
@@ -281,8 +270,7 @@ EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
     B.NumEdges += 2;
   }
 
-  for (int RI : SprReals)
-    B.SprReals.push_back(RI);
+  B.SprReals = std::move(SprReals);
   B.Empty = false;
   ReductionTimer->setProblemSize(B.Net.numNodes() + B.NumEdges);
   return B;
@@ -294,13 +282,7 @@ EfgStats specpre::computeSpeculativePlacement(Frg &G, const Profile &Prof,
                                               CutObjective Objective) {
   EfgStats Stats;
 
-  // One arena per worker thread backs every network this thread builds;
-  // reset (not freed) per expression, so in steady state the build makes
-  // no heap allocation at all.
-  static thread_local BumpArena EfgArena;
-  EfgArena.reset();
-
-  EfgBuild B = buildEfgNetwork(G, Prof, Objective, &EfgArena);
+  EfgBuild B = buildEfgNetwork(G, Prof, Objective);
   Stats.Saturated = B.Saturated;
   Stats.SprWeight = B.SprWeight;
   if (B.Empty) {
@@ -314,8 +296,6 @@ EfgStats specpre::computeSpeculativePlacement(Frg &G, const Profile &Prof,
   Stats.NumNodes = static_cast<unsigned>(B.Net.numNodes());
   Stats.NumEdges = B.NumEdges;
   FlowNetwork &Net = B.Net;
-  if (PipelineMetrics *M = currentMetricsSink())
-    M->noteNetworkArena(EfgArena.peakBytes(), EfgArena.chunkAllocations());
 
   PassTimer MinCutTimer(PipelineStep::MinCut, Stats.NumNodes + B.NumEdges);
   if (BudgetTracker *Bt = currentBudget()) {

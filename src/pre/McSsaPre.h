@@ -21,6 +21,8 @@
 #include "pre/Frg.h"
 #include "profile/Profile.h"
 
+#include <vector>
+
 namespace specpre {
 
 /// What the minimum cut minimizes (paper Section 6 sketches the
@@ -76,12 +78,8 @@ struct EfgStats {
 /// buildEfgNetwork (steps 3-6) and solved by computeSpeculativePlacement
 /// (steps 7-8); exposed so the equivalence tests and the fuzzer can run
 /// every max-flow algorithm over the very networks the placement step
-/// forms. All storage can draw from a BumpArena, which the placement
-/// step resets per expression.
+/// forms.
 struct EfgBuild {
-  explicit EfgBuild(BumpArena *A = nullptr)
-      : Net(0, A), Actions(A), SprReals(A) {}
-
   FlowNetwork Net;
   int Source = -1, Sink = -1;
   bool Empty = true;     ///< No strictly partial redundancy: Net unused.
@@ -94,11 +92,11 @@ struct EfgBuild {
     int PhiIdx = -1, OpIdx = -1; ///< InsertAtOperand
     int RealIdx = -1;            ///< ComputeInPlace
   };
-  ArenaVector<Action> Actions;
+  std::vector<Action> Actions;
 
   /// Strictly-partially-redundant real occurrences (their type-2 edges
   /// are the network's compute-in-place options).
-  ArenaVector<int> SprReals;
+  std::vector<int> SprReals;
 
   int64_t SprWeight = 0; ///< Sum of all type-2 edge weights.
   bool Saturated = false; ///< Some finite weight hit MaxFiniteCapacity.
@@ -108,11 +106,9 @@ struct EfgBuild {
 /// anticipability), graph reduction, and — over the same network, built
 /// once — the single-source step (type-1 edges from the artificial
 /// source) and the single-sink step (infinite edges into the artificial
-/// sink). Resets the Insert/WillBeAvail flags of \p G. The returned
-/// network draws its storage from \p Arena when one is given.
+/// sink). Resets the Insert/WillBeAvail flags of \p G.
 EfgBuild buildEfgNetwork(Frg &G, const Profile &Prof,
-                         CutObjective Objective = CutObjective::speed(),
-                         BumpArena *Arena = nullptr);
+                         CutObjective Objective = CutObjective::speed());
 
 /// Runs steps 3-8 on \p G under \p Prof (node frequencies only — the
 /// paper's point in Section 4). Sets WillBeAvail and operand Insert flags.

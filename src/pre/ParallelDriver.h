@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The parallel compilation pipeline: independent functions compile
-/// concurrently on a work-stealing pool (support/ThreadPool.h), one task
-/// per function. Each task runs the one PRE driver (compileWithFallback
+/// concurrently on a thread pool (support/ThreadPool.h), one task per
+/// function. Each task runs the one PRE driver (compileWithFallback
 /// in pre/PreDriver.h) exactly as a serial compile would; statistics
 /// and metrics go to per-task shards, stamped with the function index
 /// and merged in (function, expression) order, so the merged results

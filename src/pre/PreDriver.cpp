@@ -83,31 +83,14 @@ void specpre::prepareFunction(Function &F) {
 
 namespace {
 
-/// Runs the IR verifier; on failure either records the failure in
-/// Opts.VerifyErrorOut and returns false so the caller can unwind (the
-/// transformed function is in an undefined state), or — with no error
-/// sink — throws StatusException(VerifyFailed), which the degradation
-/// ladder converts into a retry on a cheaper strategy.
-bool verifyOrReport(const Function &F, const PreOptions &Opts,
-                    const std::string &Context) {
+/// Runs the IR verifier; on failure throws StatusException(VerifyFailed),
+/// which the degradation ladder converts into a retry on a cheaper
+/// strategy.
+void verifyOrThrow(const Function &F, const std::string &Context) {
   std::string Error;
-  if (verifyFunction(F, Error))
-    return true;
-  if (Opts.VerifyErrorOut) {
-    *Opts.VerifyErrorOut = "IR verification failed " + Context + ": " + Error;
-    return false;
-  }
-  throw StatusException(ErrorCode::VerifyFailed,
-                        "IR verification failed " + Context + ": " + Error);
-}
-
-/// Same reporting policy for the Definition-1 availability oracle.
-bool reportOracleFailure(const PreOptions &Opts, const std::string &Message) {
-  if (Opts.VerifyErrorOut) {
-    *Opts.VerifyErrorOut = Message;
-    return false;
-  }
-  throw StatusException(ErrorCode::VerifyFailed, Message);
+  if (!verifyFunction(F, Error))
+    throw StatusException(ErrorCode::VerifyFailed,
+                          "IR verification failed " + Context + ": " + Error);
 }
 
 /// Leg D's whole-function gate: Krause's linear-time construction
@@ -174,9 +157,8 @@ ExprStatsRecord computePlacement(const Function &F, Frg &G, unsigned EI,
 
 /// Commits one placed expression: finalize, the finalize-time
 /// statistics, code motion, then the Verifier and the Definition-1
-/// check. Returns false when a verification failure was reported
-/// through Opts.VerifyErrorOut (F is then in an undefined state).
-bool commitPlacement(Function &F, Frg &G, unsigned EI, ExprStatsRecord Rec,
+/// check. A verification failure throws StatusException(VerifyFailed).
+void commitPlacement(Function &F, Frg &G, unsigned EI, ExprStatsRecord Rec,
                      const PreOptions &Opts) {
   FinalizePlan Plan = finalizePlacement(G);
   for (const RealOcc &R : G.reals()) {
@@ -209,23 +191,20 @@ bool commitPlacement(Function &F, Frg &G, unsigned EI, ExprStatsRecord Rec,
     VarId Temp = F.makeFreshVar("pre.tmp." + std::to_string(EI));
     applyCodeMotion(F, G, Plan, Temp);
     if (Opts.Verify) {
-      if (!verifyOrReport(F, Opts,
-                          std::string("after PRE of '") + E.toString(F) +
-                              "' with " + strategyName(Opts.Strategy)))
-        return false;
+      verifyOrThrow(F, std::string("after PRE of '") + E.toString(F) +
+                           "' with " + strategyName(Opts.Strategy));
       std::vector<std::pair<ExprKey, VarId>> TempMap{{E, Temp}};
       std::string Error;
       if (!checkReloadsFullyAvailable(F, TempMap, Error))
-        return reportOracleFailure(
-            Opts, "Definition-1 correctness violated by " +
-                      std::string(strategyName(Opts.Strategy)) + ": " +
-                      Error);
+        throw StatusException(ErrorCode::VerifyFailed,
+                              "Definition-1 correctness violated by " +
+                                  std::string(strategyName(Opts.Strategy)) +
+                                  ": " + Error);
     }
   }
 
   if (Opts.Stats)
     Opts.Stats->addRecord(std::move(Rec));
-  return true;
 }
 
 /// The SSA legs over one function, in candidate order: each
@@ -251,8 +230,7 @@ void runSsaStrategies(Function &F, const PreOptions &Opts) {
       continue;
     CrashContext ExprFrame("expression", Exprs[EI].toString(F));
     ExprStatsRecord Rec = computePlacement(F, G, EI, Opts, LDF, LI);
-    if (!commitPlacement(F, G, EI, std::move(Rec), Opts))
-      return;
+    commitPlacement(F, G, EI, std::move(Rec), Opts);
   }
 }
 
@@ -276,13 +254,13 @@ void specpre::runPre(Function &F, const PreOptions &Opts) {
                            : Opts.Prof->withEstimatedEdgeFreqs(F);
     runMcPre(F, EdgeProf, Opts.Stats, Opts.Placement);
     if (Opts.Verify)
-      verifyOrReport(F, Opts, "after MC-PRE");
+      verifyOrThrow(F, "after MC-PRE");
     return;
   }
   case PreStrategy::Lcm:
     runLcm(F, Opts.Stats);
     if (Opts.Verify)
-      verifyOrReport(F, Opts, "after LCM");
+      verifyOrThrow(F, "after LCM");
     return;
   default:
     return;
@@ -371,10 +349,8 @@ Function compileWithFallbackUncached(const Function &Prepared,
     CrashContext RungFrame("strategy", strategyName(Rung));
     PreOptions RungOpts = Opts;
     RungOpts.Strategy = Rung;
-    // Route verification failures through the exception path so the
-    // ladder sees them uniformly, and isolate the rung's statistics so
-    // an abandoned rung leaves no partial records behind.
-    RungOpts.VerifyErrorOut = nullptr;
+    // Isolate the rung's statistics so an abandoned rung leaves no
+    // partial records behind.
     PreStats RungStats;
     RungOpts.Stats = Opts.Stats ? &RungStats : nullptr;
 

@@ -77,17 +77,10 @@ struct PreOptions {
   /// CutObjective::size() explores the Section-6 code-size direction.
   CutObjective Objective = CutObjective::speed();
   /// Run the IR verifier and the Definition-1 availability oracle on the
-  /// transformed function (aborts on violation unless VerifyErrorOut is
-  /// set).
+  /// transformed function. A violation throws StatusException
+  /// (ErrorCode::VerifyFailed), which compileWithFallback converts into a
+  /// retry on the next ladder rung.
   bool Verify = true;
-  /// When non-null, a verification failure is described here and the run
-  /// stops instead of raising an error. The fuzzer uses this so a
-  /// failing case can be delta-reduced in-process. Only written on
-  /// failure; callers pass an empty string and test for non-emptiness.
-  /// When null, a verification failure throws StatusException
-  /// (ErrorCode::VerifyFailed) instead, which compileWithFallback
-  /// converts into a retry on the next ladder rung.
-  std::string *VerifyErrorOut = nullptr;
   /// Statistics sink (may be null).
   PreStats *Stats = nullptr;
   /// Resource limits for one function's compilation (default: none).

@@ -29,7 +29,12 @@ private:
 
   void insertPhis();
   void renameAll();
-  void renameBlock(BlockId B);
+  /// Renames B's statements and its successors' phi arguments, leaving
+  /// B's definitions on the version stacks for its dominator subtree.
+  /// Returns the mark exitBlock() pops back to.
+  size_t enterBlock(BlockId B);
+  /// Pops the versions pushed since \p Mark.
+  void exitBlock(size_t Mark);
 
   int currentVersion(VarId V) const {
     return Stacks[V].empty() ? 0 : Stacks[V].back();
@@ -59,7 +64,7 @@ private:
   DomTree DT;
   std::vector<std::vector<int>> Stacks; ///< per-var version stacks
   std::vector<int> Counter;             ///< per-var version counter
-  std::vector<unsigned> PushedInBlock;  ///< scratch: pushes per var in block
+  std::vector<VarId> Pushed; ///< vars pushed, in push order, along the path
 };
 
 DataFlowResult SsaBuilder::computeLiveness() {
@@ -130,16 +135,16 @@ void SsaBuilder::insertPhis() {
   }
 }
 
-void SsaBuilder::renameBlock(BlockId B) {
+size_t SsaBuilder::enterBlock(BlockId B) {
   BasicBlock &BB = F.Blocks[B];
-  std::vector<std::pair<VarId, unsigned>> Pushed;
+  size_t Mark = Pushed.size();
 
   for (unsigned I = 0; I != BB.Stmts.size(); ++I) {
     Stmt &S = BB.Stmts[I];
     std::string Where = "statement " + std::to_string(I);
     if (S.Kind == StmtKind::Phi) {
       S.DestVersion = pushNewVersion(S.Dest);
-      Pushed.emplace_back(S.Dest, 1);
+      Pushed.push_back(S.Dest);
       continue;
     }
     switch (S.Kind) {
@@ -158,7 +163,7 @@ void SsaBuilder::renameBlock(BlockId B) {
     }
     if (S.definesValue()) {
       S.DestVersion = pushNewVersion(S.Dest);
-      Pushed.emplace_back(S.Dest, 1);
+      Pushed.push_back(S.Dest);
     }
   }
 
@@ -179,13 +184,13 @@ void SsaBuilder::renameBlock(BlockId B) {
       Arg.Version = Ver;
     }
   }
+  return Mark;
+}
 
-  for (BlockId Child : DT.children(B))
-    renameBlock(Child);
-
-  for (auto [V, Count] : Pushed)
-    for (unsigned I = 0; I != Count; ++I)
-      Stacks[V].pop_back();
+void SsaBuilder::exitBlock(size_t Mark) {
+  for (size_t I = Mark; I != Pushed.size(); ++I)
+    Stacks[Pushed[I]].pop_back();
+  Pushed.resize(Mark);
 }
 
 void SsaBuilder::renameAll() {
@@ -195,7 +200,9 @@ void SsaBuilder::renameAll() {
     Counter[P] = 1;
     Stacks[P].push_back(1); // implicit definition at entry, version 1
   }
-  renameBlock(0);
+  walkDomTree(
+      DT, [this](BlockId B) { return enterBlock(B); },
+      [this](size_t Mark) { exitBlock(Mark); });
 }
 
 void SsaBuilder::run() {

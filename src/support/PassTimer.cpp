@@ -87,34 +87,11 @@ void PipelineMetrics::merge(const PipelineMetrics &Other) {
   Service.Quarantined += Other.Service.Quarantined;
   Service.Shed += Other.Service.Shed;
   Service.Retries += Other.Service.Retries;
-  Arena.NetworkBuilds += Other.Arena.NetworkBuilds;
-  Arena.PeakBytes = std::max(Arena.PeakBytes, Other.Arena.PeakBytes);
-  Arena.ChunkAllocations =
-      std::max(Arena.ChunkAllocations, Other.Arena.ChunkAllocations);
   Lospre.Solved += Other.Lospre.Solved;
   Lospre.Bailouts += Other.Lospre.Bailouts;
-  // A gauge like the arena high-water mark: keep the widest observed.
+  // A gauge, not an event count: keep the widest observed.
   Lospre.WidthPeak = std::max(Lospre.WidthPeak, Other.Lospre.WidthPeak);
   Lospre.DpEntries += Other.Lospre.DpEntries;
-}
-
-void PipelineMetrics::noteNetworkArena(uint64_t PeakBytes,
-                                       uint64_t ChunkAllocations) {
-  ++Arena.NetworkBuilds;
-  Arena.PeakBytes = std::max(Arena.PeakBytes, PeakBytes);
-  Arena.ChunkAllocations =
-      std::max(Arena.ChunkAllocations, ChunkAllocations);
-}
-
-std::string PipelineMetrics::arenaToJson() const {
-  char Buf[192];
-  std::snprintf(Buf, sizeof(Buf),
-                "{\"network_builds\": %llu, \"peak_bytes\": %llu, "
-                "\"chunk_allocations\": %llu}",
-                static_cast<unsigned long long>(Arena.NetworkBuilds),
-                static_cast<unsigned long long>(Arena.PeakBytes),
-                static_cast<unsigned long long>(Arena.ChunkAllocations));
-  return Buf;
 }
 
 std::string PipelineMetrics::lospreToJson() const {

@@ -100,16 +100,6 @@ struct LospreCounters {
   uint64_t DpEntries = 0; ///< Total DP table entries evaluated.
 };
 
-/// Allocation counters of the per-expression network-build arenas
-/// (support/Arena.h). Exported under the metrics JSON "arena" key; the
-/// network stress test asserts PeakBytes does not grow while thousands
-/// of networks are built and torn down.
-struct ArenaCounters {
-  uint64_t NetworkBuilds = 0;     ///< Networks built through an arena.
-  uint64_t PeakBytes = 0;         ///< Max arena high-water mark observed.
-  uint64_t ChunkAllocations = 0;  ///< Max heap chunks any arena requested.
-};
-
 /// Per-step metrics for one pipeline run (or one worker's shard of it).
 class PipelineMetrics {
 public:
@@ -138,16 +128,6 @@ public:
 
   /// JSON object with one key per ServiceCounters field.
   std::string serviceToJson() const;
-
-  /// Records one arena-backed network build: bumps NetworkBuilds and
-  /// folds the arena's high-water mark / chunk count in by max.
-  void noteNetworkArena(uint64_t PeakBytes, uint64_t ChunkAllocations);
-
-  ArenaCounters &arena() { return Arena; }
-  const ArenaCounters &arena() const { return Arena; }
-
-  /// JSON object with one key per ArenaCounters field.
-  std::string arenaToJson() const;
 
   /// Leg-D treewidth engine counters; filled by pre/Lospre and the
   /// PreDriver's reducibility gate, zero elsewhere. merge() sums,
@@ -178,7 +158,6 @@ private:
   RobustnessCounters Robust;
   CacheCounters Cache;
   ServiceCounters Service;
-  ArenaCounters Arena;
   LospreCounters Lospre;
 };
 

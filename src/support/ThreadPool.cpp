@@ -1,4 +1,4 @@
-//===- support/ThreadPool.cpp - Work-stealing thread pool ---------------------===//
+//===- support/ThreadPool.cpp - Shared-index thread pool ----------------------===//
 
 #include "support/ThreadPool.h"
 
@@ -31,39 +31,10 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::participate(Job &J) {
   size_t Ran = 0;
-  const size_t S = J.Strips.size();
-  // Local range claimed from some strip; processed lock-free since it
-  // has been removed from the strip.
-  size_t Begin = 0, End = 0;
   for (;;) {
-    if (Begin == End) {
-      // Claim work: prefer the front of the first non-empty strip
-      // (owner-style pop of one index), stealing the back half when the
-      // strip holds more than one.
-      bool Found = false;
-      for (size_t SI = 0; SI != S && !Found; ++SI) {
-        Job::Strip &St = *J.Strips[SI];
-        std::lock_guard<std::mutex> L(St.M);
-        size_t Left = St.End - St.Begin;
-        if (Left == 0)
-          continue;
-        if (Left == 1) {
-          Begin = St.Begin;
-          End = St.End;
-          St.Begin = St.End;
-        } else {
-          // Steal the back half; the owner keeps draining the front.
-          size_t Mid = St.Begin + (Left + 1) / 2;
-          Begin = Mid;
-          End = St.End;
-          St.End = Mid;
-        }
-        Found = true;
-      }
-      if (!Found)
-        break;
-    }
-    size_t Index = Begin++;
+    size_t Index = J.Next.fetch_add(1);
+    if (Index >= J.N)
+      break;
     try {
       (*J.Body)(Index);
     } catch (...) {
@@ -139,14 +110,6 @@ void ThreadPool::parallelFor(size_t N,
   auto J = std::make_shared<Job>();
   J->Body = &Body;
   J->N = N;
-  size_t NumStrips = std::min<size_t>(NumWorkers, N);
-  J->Strips.reserve(NumStrips);
-  for (size_t SI = 0; SI != NumStrips; ++SI) {
-    auto St = std::make_unique<Job::Strip>();
-    St->Begin = SI * N / NumStrips;
-    St->End = (SI + 1) * N / NumStrips;
-    J->Strips.push_back(std::move(St));
-  }
 
   {
     std::lock_guard<std::mutex> L(QueueM);

@@ -1,19 +1,21 @@
-//===- support/ThreadPool.h - Work-stealing thread pool --------*- C++ -*-===//
+//===- support/ThreadPool.h - Shared-index thread pool ---------*- C++ -*-===//
 //
 // Part of the MC-SSAPRE reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the parallel PRE pipeline.
+/// A small thread pool for the parallel PRE pipeline, which fans out one
+/// task per function.
 ///
-/// The scheduling unit is a `parallelFor(N, Body)` call: the index range
-/// [0, N) is split into one contiguous strip per worker; each participant
-/// pops indices from the front of its own strip and, when it runs dry,
-/// steals the back half of a victim's remaining range. The calling
-/// thread always participates, so nested parallelFor calls (a corpus
-/// task fanning out its expressions) cannot deadlock: the inner caller
-/// drains its own job even when every pool thread is busy elsewhere.
+/// The scheduling unit is a `parallelFor(N, Body)` call. Every
+/// participant claims the next unclaimed index of [0, N) from one shared
+/// atomic counter, so a long task never strands short ones behind it.
+/// The calling thread always participates, so a parallelFor issued from
+/// inside another's body cannot deadlock: the inner caller drains its own
+/// job even when every pool thread is busy elsewhere. One pool may serve
+/// several concurrent callers (the daemon's request workers); each call
+/// is its own job, and idle threads help every active job.
 ///
 /// Determinism contract: the pool itself makes no ordering promises —
 /// which thread runs which index is racy by design. Callers obtain
@@ -26,6 +28,7 @@
 #ifndef SPECPRE_SUPPORT_THREADPOOL_H
 #define SPECPRE_SUPPORT_THREADPOOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -67,17 +70,12 @@ public:
   void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
 private:
-  /// One in-flight parallelFor: strips of the index range plus
-  /// completion accounting.
+  /// One in-flight parallelFor: the shared next index plus completion
+  /// accounting.
   struct Job {
-    struct Strip {
-      std::mutex M;
-      size_t Begin = 0, End = 0; ///< remaining range, under M
-    };
-
     const std::function<void(size_t)> *Body = nullptr;
     size_t N = 0;
-    std::vector<std::unique_ptr<Strip>> Strips;
+    std::atomic<size_t> Next{0}; ///< next unclaimed index
     std::mutex DoneM;
     std::condition_variable DoneCv;
     size_t ItemsDone = 0; ///< under DoneM

@@ -17,6 +17,7 @@
 #include "support/FaultInjector.h"
 #include "support/LineCodec.h"
 #include "support/Random.h"
+#include "support/Status.h"
 
 #include <climits>
 #include <fstream>
@@ -34,6 +35,24 @@ uint64_t mixSeed(uint64_t Seed, uint64_t CaseIdx) {
 
 OracleFailure fail(std::string Oracle, std::string Message) {
   return OracleFailure{std::move(Oracle), std::move(Message)};
+}
+
+/// Compiles \p Prepared under \p PO into \p Out. A verification failure
+/// (the IR verifier or the Definition-1 check) becomes the leg's
+/// `verifier(<leg>)` failure, so the case can be delta-reduced
+/// in-process; any other error propagates.
+std::optional<OracleFailure> compileVerified(const Function &Prepared,
+                                             const PreOptions &PO,
+                                             Function &Out) {
+  try {
+    Out = compileWithPre(Prepared, PO);
+  } catch (const StatusException &E) {
+    if (E.status().code() != ErrorCode::VerifyFailed)
+      throw;
+    return fail(std::string("verifier(") + strategyName(PO.Strategy) + ")",
+                E.status().message());
+  }
+  return std::nullopt;
 }
 
 } // namespace
@@ -119,12 +138,9 @@ runStrategy(const Function &Prepared, PreStrategy S, const Profile *Prof,
     // tripped verifier or injected fault degrades instead of failing the
     // case. Semantic equivalence below still gates whatever rung landed.
     Out.Opt = compileWithFallback(Prepared, PO, &Out.Outcome);
-  } else {
-    std::string VErr;
-    PO.VerifyErrorOut = &VErr;
-    Out.Opt = compileWithPre(Prepared, PO);
-    if (!VErr.empty())
-      return fail(std::string("verifier(") + Name + ")", VErr);
+  } else if (std::optional<OracleFailure> F =
+                 compileVerified(Prepared, PO, Out.Opt)) {
+    return F;
   }
 
   Out.TrainResult = interpret(Out.Opt, TrainArgs);
@@ -422,12 +438,10 @@ std::optional<OracleFailure> specpre::checkStoredProfileOracles(
     PO.Prof = L.P;
     PreStats Stats;
     PO.Stats = &Stats;
-    std::string VErr;
-    PO.VerifyErrorOut = &VErr;
-    Function Opt = compileWithPre(Prepared, PO);
+    Function Opt;
+    if (std::optional<OracleFailure> F = compileVerified(Prepared, PO, Opt))
+      return F;
     const char *Name = strategyName(L.S);
-    if (!VErr.empty())
-      return fail(std::string("verifier(") + Name + ")", VErr);
     for (const std::vector<int64_t> &Args : Inputs) {
       ExecResult Ref = interpret(Prepared, Args);
       if (Ref.TimedOut)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # specpre-opt compiling locally and specpre-opt --connect against a live
 # specpre-serve must print the same stdout and stderr and exit with the
-# same code: clean compiles, a degraded compile, malformed IR and a
-# --train arity mismatch.
+# same code: clean compiles, a degraded compile, malformed IR, IR nested
+# past the parser's depth cap, and a --train arity mismatch. The nested
+# case runs before the last one, so the daemon must survive it.
 #
 # Usage: connect_identity.sh <specpre-opt> <specpre-serve> <repo root>
 set -u
@@ -15,7 +16,7 @@ MALFORMED=$ROOT/tests/corpus/malformed/truncated.ir
 
 DIR=$(mktemp -d)
 SOCK=$DIR/serve.sock
-"$SERVE" --socket="$SOCK" --max-requests=5 >"$DIR/serve.log" 2>&1 &
+"$SERVE" --socket="$SOCK" --max-requests=6 >"$DIR/serve.log" 2>&1 &
 PID=$!
 cleanup() {
   kill "$PID" 2>/dev/null
@@ -72,5 +73,15 @@ check diamond clean --strategy=mcssapre --train=3,4,1 "$DIAMOND"
 check degraded degraded --strategy=mcssapre --train=3,4,64 \
   --max-graph-nodes=1 "$LOOP"
 check malformed-ir error --strategy=none "$MALFORMED"
+# 20,000 nested parentheses (40 KB): a parse error, not a stack overflow.
+NESTED=$DIR/nested.spre
+{
+  printf 'func f(a) {\nentry:\n  x = '
+  head -c 20000 /dev/zero | tr '\0' '('
+  printf 'a'
+  head -c 20000 /dev/zero | tr '\0' ')'
+  printf '\n  ret x\n}\n'
+} >"$NESTED"
+check nested-ir error --strategy=none "$NESTED"
 check train-arity error --strategy=mcssapre --train=3,4 "$LOOP"
 exit $FAILED

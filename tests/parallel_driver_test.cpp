@@ -6,7 +6,7 @@
 // ParallelPreDriver at --jobs=4, and the outputs must match
 // bit-identically — printed IR, interpreter dynamic counts, and the
 // merged PreStats record sequence — for all six strategies. Plus unit
-// tests of the work-stealing ThreadPool itself.
+// tests of the shared-index ThreadPool itself.
 //
 //===----------------------------------------------------------------------===//
 

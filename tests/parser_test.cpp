@@ -4,6 +4,8 @@
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "interp/Interpreter.h"
+#include "ssa/SsaConstruction.h"
+#include "support/Status.h"
 
 #include <gtest/gtest.h>
 
@@ -319,4 +321,109 @@ TEST(Parser, FreshTemporariesSkipDeclaredNames) {
   // Later fresh names keep counting from where the parser left off.
   EXPECT_EQ(F.varName(F.makeFreshVar("t$")), "t$.8");
   EXPECT_EQ(F.varName(F.makeFreshVar("x")), "x.0");
+}
+
+// A source reference to a temporary's name must not bind to the
+// temporary: `t$` is never assigned here, so it is an undefined variable
+// exactly like `y` would be, and SSA construction rejects it.
+TEST(Parser, SourceUseNeverBindsToTemporary) {
+  const char *Src = R"(
+    func f(a, b, c) {
+    entry:
+      x = (a + b) * c
+      print t$
+      ret x
+    }
+  )";
+  Function F = parseFunctionOrDie(Src);
+  // The outer product's temporary is retargeted onto x but keeps its id.
+  std::vector<std::string> Expected = {"a",    "b",    "c", "x",
+                                       "t$.0", "t$.1", "t$"};
+  EXPECT_EQ(F.VarNames, Expected);
+  const Stmt &Temp = F.Blocks[0].Stmts[0];
+  const Stmt &Print = F.Blocks[0].Stmts[2];
+  ASSERT_EQ(Print.Kind, StmtKind::Print);
+  EXPECT_NE(Print.Src0.Var, Temp.Dest);
+  try {
+    constructSsa(F);
+    FAIL() << "use of the never-assigned 't$' was accepted";
+  } catch (const StatusException &E) {
+    EXPECT_EQ(E.status().code(), ErrorCode::InvalidInput);
+    EXPECT_NE(E.status().message().find("undefined variable 't$'"),
+              std::string::npos)
+        << E.status().message();
+  }
+
+  // The printed (flat) function reparses to the same text.
+  std::string Printed = printFunction(parseFunctionOrDie(Src));
+  EXPECT_EQ(printFunction(parseFunctionOrDie(Printed)), Printed);
+}
+
+// A source assignment to `t$` after a nested expression defines the
+// source variable, not the temporary the expression materialized.
+TEST(Parser, SourceAssignmentAfterTemporaryIsDistinct) {
+  Function F = parseFunctionOrDie(R"(
+    func f(a, b, c) {
+    entry:
+      x = (a + b) * c
+      t$ = x + 1
+      y = (a - b) * t$
+      ret y
+    }
+  )");
+  std::vector<std::string> Expected = {"a",    "b",    "c", "x",
+                                       "t$.0", "t$.1", "t$", "t$.2",
+                                       "y",    "t$.3", "t$.4"};
+  EXPECT_EQ(F.VarNames, Expected);
+  EXPECT_NE(F.Blocks[0].Stmts[0].Dest, F.Blocks[0].Stmts[2].Dest);
+  EXPECT_EQ(interpret(F, {5, 3, 2}).ReturnValue,
+            (5 - 3) * ((5 + 3) * 2 + 1));
+  std::string Error;
+  EXPECT_TRUE(verifyFunction(F, Error)) << Error;
+}
+
+namespace {
+
+/// `x = <Depth opening parens>a<Depth closing parens>` in a one-block
+/// function.
+std::string nestedParens(unsigned Depth) {
+  return "func f(a) {\nentry:\n  x = " + std::string(Depth, '(') + "a" +
+         std::string(Depth, ')') + "\n  ret x\n}\n";
+}
+
+} // namespace
+
+// Expression nesting is capped at 1000 levels, so no input can recurse
+// the parser off its stack; past the cap is a located parse error.
+TEST(Parser, ExpressionNestingAtCapParses) {
+  std::string Error;
+  std::optional<Module> M = parseModule(nestedParens(1000), Error);
+  ASSERT_TRUE(M.has_value()) << Error;
+  EXPECT_EQ(interpret(M->Functions.front(), {7}).ReturnValue, 7);
+
+  std::string Minus = "func f(a) {\nentry:\n  x = " + std::string(1000, '-') +
+                      "a\n  ret x\n}\n";
+  M = parseModule(Minus, Error);
+  ASSERT_TRUE(M.has_value()) << Error;
+  EXPECT_EQ(interpret(M->Functions.front(), {7}).ReturnValue, 7);
+}
+
+TEST(Parser, ExpressionNestingPastCapIsAParseError) {
+  std::string Error;
+  EXPECT_FALSE(parseModule(nestedParens(1001), Error).has_value());
+  // "  x = " is six columns; the 1001st '(' is at column 7 + 1000.
+  EXPECT_EQ(Error, "line 3, col 1007: expression nesting exceeds 1000 levels");
+
+  Error.clear();
+  std::string Minus = "func f(a) {\nentry:\n  x = " + std::string(1001, '-') +
+                      "a\n  ret x\n}\n";
+  EXPECT_FALSE(parseModule(Minus, Error).has_value());
+  // A minus opens its level at the operand that follows it.
+  EXPECT_EQ(Error, "line 3, col 1008: expression nesting exceeds 1000 levels");
+
+  // Far past the cap (the size that used to overflow the stack) is the
+  // same error at the same place.
+  Error.clear();
+  EXPECT_FALSE(parseModule(nestedParens(20000), Error).has_value());
+  EXPECT_EQ(Error, "line 3, col 1007: expression nesting exceeds 1000 levels");
 }

@@ -7,21 +7,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Cfg.h"
-#include "analysis/DomTree.h"
 #include "interp/Interpreter.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "opt/Cleanup.h"
 #include "opt/ValueNumbering.h"
-#include "pre/ExprKey.h"
-#include "pre/Frg.h"
-#include "pre/McPre.h"
-#include "pre/McSsaPre.h"
 #include "pre/PreDriver.h"
 #include "ssa/SsaConstruction.h"
 #include "ssa/SsaDestruction.h"
-#include "support/PassTimer.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
@@ -117,109 +110,10 @@ TEST(Stress, DeepLoopNestProfileAndPre) {
   ASSERT_LE(O.DynamicComputations, Base.DynamicComputations);
 }
 
-// Thousands of arena-backed network builds (the CSR FlowNetwork path
-// shared by MC-SSAPRE's EFG and MC-PRE's CFG network): the per-thread
-// bump arena must reach its high-water mark in the first epoch and
-// never grow afterwards — reset() retains chunks, so steady-state
-// builds perform no heap allocation at all. Asserted through the same
-// ArenaCounters the metrics JSON exports, so a regression shows up both
-// here and in `specpre-opt --metrics-out=`.
-TEST(Stress, ArenaNetworkBuildsStayFlat) {
-  GeneratorConfig GenCfg;
-  GenCfg.MaxDepth = 4;
-  GenCfg.RegionsPerLevel = 2;
-  GenCfg.ExprPoolSize = 8;
-  GenCfg.NumVars = 6;
-  Function F;
-  for (uint64_t Seed = 0xA11E5;; ++Seed) {
-    F = generateProgram(Seed, GenCfg, "arena_stress");
-    if (F.numBlocks() >= 30u)
-      break;
-  }
-  Profile Prof;
-  ExecOptions EO;
-  EO.CollectProfile = &Prof;
-  std::vector<int64_t> Args(F.Params.size(), 5);
-  ExecResult Train = interpret(F, Args, EO);
-  ASSERT_FALSE(Train.TimedOut);
-  ASSERT_FALSE(Train.Trapped);
-  Profile NodeProf = Prof.withoutEdgeFreqs();
-
-  Function Ssa = F;
-  constructSsa(Ssa);
-  Cfg C(Ssa);
-  DomTree DT = DomTree::buildDominators(C);
-  std::vector<ExprKey> Candidates;
-  for (const ExprKey &E : collectCandidateExprs(Ssa))
-    if (!E.canFault())
-      Candidates.push_back(E);
-  ASSERT_FALSE(Candidates.empty());
-
-  auto RunAllCandidates = [&] {
-    for (const ExprKey &E : Candidates) {
-      Frg G(Ssa, C, DT, E);
-      computeSpeculativePlacement(G, NodeProf);
-    }
-  };
-
-  PipelineMetrics Warmup;
-  {
-    MetricsScope MS(&Warmup);
-    RunAllCandidates();
-  }
-  uint64_t BuildsPerEpoch = Warmup.arena().NetworkBuilds;
-  ASSERT_GT(BuildsPerEpoch, 0u);
-  ASSERT_GT(Warmup.arena().PeakBytes, 0u);
-
-  const uint64_t Epochs = 2000 / BuildsPerEpoch + 1; // >= 2000 builds total
-  PipelineMetrics Steady;
-  {
-    MetricsScope MS(&Steady);
-    for (uint64_t I = 0; I != Epochs; ++I)
-      RunAllCandidates();
-  }
-  EXPECT_EQ(Steady.arena().NetworkBuilds, Epochs * BuildsPerEpoch);
-  // The high-water mark was established during warmup; repeating the
-  // same builds thousands of times must not raise it (PeakBytes is a
-  // running max over the thread-local arena's lifetime peak).
-  EXPECT_EQ(Steady.arena().PeakBytes, Warmup.arena().PeakBytes);
-  EXPECT_EQ(Steady.arena().ChunkAllocations,
-            Warmup.arena().ChunkAllocations);
-  // And the JSON export carries exactly these counters.
-  std::string Json = Steady.arenaToJson();
-  EXPECT_NE(Json.find("\"network_builds\": " +
-                      std::to_string(Epochs * BuildsPerEpoch)),
-            std::string::npos)
-      << Json;
-  EXPECT_NE(Json.find("\"peak_bytes\": " +
-                      std::to_string(Warmup.arena().PeakBytes)),
-            std::string::npos)
-      << Json;
-
-  // The MC-PRE leg exercises the same arena/CSR machinery on the CFG
-  // network; its peak must be flat across repeated full runs too.
-  PipelineMetrics McPreWarm, McPreSteady;
-  {
-    MetricsScope MS(&McPreWarm);
-    Function Copy = F;
-    runMcPre(Copy, Prof);
-  }
-  ASSERT_GT(McPreWarm.arena().NetworkBuilds, 0u);
-  {
-    MetricsScope MS(&McPreSteady);
-    for (int I = 0; I != 20; ++I) {
-      Function Copy = F;
-      runMcPre(Copy, Prof);
-    }
-  }
-  EXPECT_EQ(McPreSteady.arena().NetworkBuilds,
-            20 * McPreWarm.arena().NetworkBuilds);
-  EXPECT_LE(McPreSteady.arena().PeakBytes, McPreWarm.arena().PeakBytes);
-}
-
 // Near-linear guards. No input within the 64 MiB SPV1 frame cap may pin a
-// worker, so the verifier and the parser must stay near-linear in input
-// size. Each case also runs as its own ctest under a short TIMEOUT
+// worker or overflow its stack, so the verifier and the parser must stay
+// near-linear in input size, and no pass may recurse once per block.
+// Each case also runs as its own ctest under a short TIMEOUT
 // (tests/CMakeLists.txt): a quadratic verifier needs about 2.5e9 block
 // visits for the first, a quadratic parser about 5e9 name probes for the
 // second.
@@ -279,4 +173,49 @@ TEST(NearLinear, ParserManyTemporaries) {
   EXPECT_EQ(F.numVars(), 3u + 4 * NumLines);
   EXPECT_EQ(F.VarNames.back(), "t$." + std::to_string(4 * NumLines - 2));
   EXPECT_TRUE(verifyFunction(F, Error)) << Error;
+}
+
+TEST(NearLinear, CompileDeepDominatorTree) {
+  // `x = x + a` in each of 50,000 chained blocks: the dominator tree is
+  // a path as long as the function, which a recursive SSA rename, FRG
+  // rename, Finalize or GVN walk cannot descend on an 8 MiB stack.
+  constexpr unsigned NumBlocks = 50000;
+  Function F;
+  F.Name = "deep";
+  VarId A = F.getOrAddVar("a");
+  VarId X = F.getOrAddVar("x");
+  F.Params.push_back(A);
+  for (unsigned B = 0; B != NumBlocks + 2; ++B)
+    F.addBlock("b" + std::to_string(B));
+  F.Blocks[0].Stmts = {Stmt::makeCopy(X, Operand::makeVar(A)),
+                       Stmt::makeJump(1)};
+  for (unsigned B = 1; B != NumBlocks + 1; ++B)
+    F.Blocks[B].Stmts = {Stmt::makeCompute(X, Opcode::Add, Operand::makeVar(X),
+                                           Operand::makeVar(A)),
+                         Stmt::makeJump(static_cast<BlockId>(B + 1))};
+  F.Blocks[NumBlocks + 1].Stmts = {Stmt::makeRet(Operand::makeVar(X))};
+  prepareFunction(F);
+
+  Profile Prof;
+  ExecOptions EO;
+  EO.CollectProfile = &Prof;
+  ExecResult Train = interpret(F, {1}, EO);
+  ASSERT_FALSE(Train.TimedOut);
+  ASSERT_EQ(Train.ReturnValue, int64_t(NumBlocks) + 1);
+  Profile NodeOnly = Prof.withoutEdgeFreqs();
+
+  for (PreStrategy S : {PreStrategy::SsaPre, PreStrategy::McSsaPre}) {
+    PreOptions PO;
+    PO.Strategy = S;
+    PO.Prof = &NodeOnly;
+    CompileOutcomeRecord Outcome;
+    Function Opt = compileWithFallback(F, PO, &Outcome);
+    EXPECT_EQ(Outcome.Used, strategyName(S)) << Outcome.Message;
+    EXPECT_FALSE(Outcome.degraded()) << Outcome.Message;
+    ASSERT_TRUE(Opt.IsSSA);
+    runValueNumbering(Opt);
+    std::string Error;
+    EXPECT_TRUE(verifyFunction(Opt, Error)) << Error;
+    EXPECT_EQ(interpret(Opt, {1}).ReturnValue, int64_t(NumBlocks) + 1);
+  }
 }

@@ -665,8 +665,7 @@ int main(int Argc, char **Argv) {
     std::snprintf(Header, sizeof(Header), "{\"jobs\": %u,\n\"steps\": ",
                   Driver.jobs());
     Out << Header << Metrics.toJson() << ",\n\"robustness\": "
-        << Metrics.robustnessToJson() << ",\n\"arena\": "
-        << Metrics.arenaToJson() << ",\n\"lospre\": "
+        << Metrics.robustnessToJson() << ",\n\"lospre\": "
         << Metrics.lospreToJson() << ",\n\"cache\": "
         << Metrics.cacheToJson() << "}\n";
   }

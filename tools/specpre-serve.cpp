@@ -272,8 +272,7 @@ int main(int Argc, char **Argv) {
     std::snprintf(Header, sizeof(Header), "{\"jobs\": %u,\n\"steps\": ",
                   Server.service().jobs());
     Out << Header << M.toJson() << ",\n\"robustness\": "
-        << M.robustnessToJson() << ",\n\"arena\": " << M.arenaToJson()
-        << ",\n\"lospre\": " << M.lospreToJson()
+        << M.robustnessToJson() << ",\n\"lospre\": " << M.lospreToJson()
         << ",\n\"cache\": " << M.cacheToJson()
         << ",\n\"service\": " << M.serviceToJson() << "}\n";
   }
