@@ -79,19 +79,23 @@ private:
   std::vector<BlockId> Preorder;
 };
 
-/// Depth-first walk of the whole of \p DT, without recursion: Enter(B)
-/// runs before B's subtree and returns a mark (typically the sizes of the
-/// walker's undo logs); Exit(Mark) runs after the subtree. Blocks come in
-/// preorder, children in children() order: the visit order of a
-/// recursive walk from the root, but a dominator tree as deep as the
-/// function is long (a straight-line chain of blocks) cannot overflow the
-/// call stack. Walking preorder() with an explicit stack of open blocks
-/// measured faster than iterating children() lists.
+/// Depth-first walk of the blocks \p Blocks of \p DT, without recursion.
+/// \p Blocks must be a subsequence of DT.preorder(). Enter(B) runs before
+/// the listed blocks of B's subtree and returns a mark (typically the
+/// sizes of the walker's undo logs); Exit(Mark) runs after them. An
+/// unlisted block gets neither call, so a walker whose unlisted blocks
+/// would push nothing gets exactly the result of the full walk while
+/// paying only for the listed ones (the sparse FRG walks). A dominator
+/// tree as deep as the function is long (a straight-line chain of
+/// blocks) cannot overflow the call stack. Walking preorder with an
+/// explicit stack of open blocks measured faster than iterating
+/// children() lists.
 template <typename EnterFn, typename ExitFn>
-void walkDomTree(const DomTree &DT, EnterFn &&Enter, ExitFn &&Exit) {
+void walkDomTreeBlocks(const DomTree &DT, const std::vector<BlockId> &Blocks,
+                       EnterFn &&Enter, ExitFn &&Exit) {
   using Mark = decltype(Enter(DT.root()));
   std::vector<std::pair<BlockId, Mark>> Open;
-  for (BlockId B : DT.preorder()) {
+  for (BlockId B : Blocks) {
     while (!Open.empty() && !DT.dominates(Open.back().first, B)) {
       Exit(Open.back().second);
       Open.pop_back();
@@ -102,6 +106,14 @@ void walkDomTree(const DomTree &DT, EnterFn &&Enter, ExitFn &&Exit) {
     Exit(Open.back().second);
     Open.pop_back();
   }
+}
+
+/// walkDomTreeBlocks over the whole of \p DT: blocks in preorder,
+/// children in children() order, the visit order of a recursive walk
+/// from the root.
+template <typename EnterFn, typename ExitFn>
+void walkDomTree(const DomTree &DT, EnterFn &&Enter, ExitFn &&Exit) {
+  walkDomTreeBlocks(DT, DT.preorder(), Enter, Exit);
 }
 
 } // namespace specpre

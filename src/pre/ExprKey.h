@@ -18,6 +18,7 @@
 #include "ir/Ir.h"
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace specpre {
@@ -69,6 +70,37 @@ struct ExprKey {
   std::string toString(const Function &F) const;
 
   auto operator<=>(const ExprKey &) const = default;
+};
+
+/// Hash lookup from a lexical expression to its index in a candidate
+/// list: one probe per statement instead of one matches() test per
+/// candidate.
+class ExprKeyIndex {
+public:
+  /// Index of \p K, or -1.
+  int find(const ExprKey &K) const {
+    auto It = Map.find(K);
+    return It == Map.end() ? -1 : static_cast<int>(It->second);
+  }
+
+  /// Index of the expression \p S is a real occurrence of, or -1.
+  int find(const Stmt &S) const {
+    if (S.Kind != StmtKind::Compute)
+      return -1;
+    return find(ExprKey{S.Op, OperandKey::of(S.Src0), OperandKey::of(S.Src1)});
+  }
+
+  /// Maps \p K to \p Index unless \p K is already present; returns
+  /// whether it was inserted.
+  bool insert(const ExprKey &K, unsigned Index) {
+    return Map.emplace(K, Index).second;
+  }
+
+private:
+  struct Hash {
+    size_t operator()(const ExprKey &K) const;
+  };
+  std::unordered_map<ExprKey, unsigned, Hash> Map;
 };
 
 /// Collects every candidate expression of \p F in a deterministic order

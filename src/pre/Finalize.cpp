@@ -23,10 +23,7 @@ namespace {
 class Finalizer {
 public:
   explicit Finalizer(Frg &G)
-      : G(G), F(G.function()), C(G.cfg()), DT(G.domTree()) {
-    RealAt.assign(F.numBlocks(), {});
-    for (unsigned I = 0; I != G.reals().size(); ++I)
-      RealAt[G.reals()[I].Block].push_back(static_cast<int>(I));
+      : G(G), C(G.cfg()), DT(G.domTree()) {
     AvailStack.assign(static_cast<unsigned>(G.numClasses()), {});
     PhiDefIdx.assign(G.phis().size(), -1);
   }
@@ -40,7 +37,14 @@ public:
     // Pre-create the temp-phi definitions for all will_be_avail Φs so
     // that predecessor blocks can fill their operands regardless of the
     // dominator-tree visit order (a predecessor may well be visited
-    // before the join block itself).
+    // before the join block itself). The walk visits only the blocks
+    // that provide a value or feed an operand: will_be_avail Φs, their
+    // predecessors and the real occurrences. The rest would push
+    // nothing, and the preorder of the visited blocks (hence the
+    // TempDefs order) is that of the full walk.
+    std::vector<BlockId> Events;
+    for (const RealOcc &R : G.reals())
+      Events.push_back(R.Block);
     for (unsigned PI = 0; PI != G.phis().size(); ++PI) {
       const PhiOcc &P = G.phis()[PI];
       if (!P.WillBeAvail)
@@ -53,9 +57,13 @@ public:
         D.PhiPreds.push_back(Op.Pred);
       D.PhiArgs.assign(P.Operands.size(), -1);
       PhiDefIdx[PI] = makeDef(std::move(D));
+      Events.push_back(P.Block);
+      for (const PhiOperand &Op : P.Operands)
+        Events.push_back(Op.Pred);
     }
-    walkDomTree(
-        DT, [this](BlockId B) { return enterBlock(B); },
+    G.context().sortInPreorder(Events);
+    walkDomTreeBlocks(
+        DT, Events, [this](BlockId B) { return enterBlock(B); },
         [this](size_t Mark) { exitBlock(Mark); });
     markLiveness();
     return std::move(Plan);
@@ -76,12 +84,10 @@ private:
   void markLiveness();
 
   Frg &G;
-  const Function &F;
   const Cfg &C;
   const DomTree &DT;
 
   FinalizePlan Plan;
-  std::vector<std::vector<int>> RealAt;
   /// Per redundancy class: stack of TempDef indices currently providing
   /// the value on the dominator path.
   std::vector<std::vector<int>> AvailStack;
@@ -104,7 +110,8 @@ size_t Finalizer::enterBlock(BlockId B) {
 
   // 2. Real occurrences: reload when a dominating definition of the same
   // class exists, otherwise compute (and provide the value).
-  for (int RI : RealAt[B]) {
+  for (unsigned RI = G.firstRealIn(B);
+       RI != G.reals().size() && G.reals()[RI].Block == B; ++RI) {
     RealOcc &R = G.reals()[RI];
     std::vector<int> &Stack = AvailStack[R.Class];
     if (!Stack.empty()) {
@@ -115,7 +122,7 @@ size_t Finalizer::enterBlock(BlockId B) {
     TempDef D;
     D.K = TempDef::Kind::RealSave;
     D.Block = B;
-    D.RealIdx = RI;
+    D.RealIdx = static_cast<int>(RI);
     int Idx = makeDef(std::move(D));
     Stack.push_back(Idx);
     PushedClasses.push_back(R.Class);

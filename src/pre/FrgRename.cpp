@@ -1,12 +1,21 @@
 //===- pre/FrgRename.cpp - FRG Rename step (step 2) --------------------------===//
 //
 // Assigns redundancy classes (expression SSA versions) to all occurrences
-// via a preorder dominator-tree walk, following Kennedy et al.'s delayed
+// via a sparse preorder dominator-tree walk, following Kennedy et al.'s delayed
 // renaming: a real occurrence belongs to the class on top of the
 // expression stack exactly when its operand versions match the versions
 // the top occurrence was seen with. MC-SSAPRE's modification (paper step
 // 2): real occurrences are always pushed, and a real occurrence whose
 // versions match a dominating *real* occurrence is marked rg_excluded.
+//
+// The walk visits only the blocks that can push onto a stack or read
+// one: Φ blocks and their predecessors, real-occurrence blocks and the
+// definition blocks of the two operand variables. Every other block
+// would push nothing and fill no operand, so skipping it is exact.
+// Besides the variable phis of Φ blocks (insert-blocked operands) it
+// reads no statements: the context lists each operand's definitions per
+// block in preorder, with the versions after the block's phis and at
+// its exit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,23 +33,50 @@ class Renamer {
 public:
   explicit Renamer(Frg &G)
       : G(G), F(G.function()), C(G.cfg()), DT(G.domTree()) {
-    LIsConst = G.expr().L.IsConst;
-    RIsConst = G.expr().R.IsConst;
-    LVar = LIsConst ? InvalidVar : G.expr().L.Var;
-    RVar = RIsConst ? InvalidVar : G.expr().R.Var;
-    // Index real occurrences by (block, stmt) for the walk.
-    RealAt.assign(F.numBlocks(), {});
-    for (unsigned I = 0; I != G.reals().size(); ++I)
-      RealAt[G.reals()[I].Block].push_back(static_cast<int>(I));
-    // Variable version stacks; parameters carry version 1 at entry.
-    VarStacks.assign(F.numVars(), {});
-    for (VarId P : F.Params)
-      VarStacks[P].push_back(1);
+    const ExprKey &E = G.expr();
+    LVar = E.L.IsConst ? InvalidVar : E.L.Var;
+    RVar = E.R.IsConst ? InvalidVar : E.R.Var;
+    // Operand version stacks; parameters carry version 1 at entry.
+    for (VarId P : F.Params) {
+      if (P == LVar)
+        LStack.push_back(1);
+      if (P == RVar)
+        RStack.push_back(1);
+    }
   }
 
   void run() {
-    walkDomTree(
-        DT, [this](BlockId B) { return enterBlock(B); },
+    const FrgContext &X = G.context();
+    std::vector<BlockId> Events;
+    for (const PhiOcc &P : G.phis()) {
+      Events.push_back(P.Block);
+      for (const PhiOperand &Op : P.Operands)
+        Events.push_back(Op.Pred);
+    }
+    for (const RealOcc &R : G.reals())
+      Events.push_back(R.Block);
+    X.sortInPreorder(Events);
+    // Merge in the operand definitions, kept in preorder by the context.
+    static const std::vector<VarDefSite> NoDefs;
+    LDefs = LVar == InvalidVar ? &NoDefs : &X.varDefs(LVar);
+    RDefs = RVar == InvalidVar ? &NoDefs : &X.varDefs(RVar);
+    for (const std::vector<VarDefSite> *Defs : {LDefs, RDefs}) {
+      std::vector<BlockId> Merged;
+      Merged.reserve(Events.size() + Defs->size());
+      auto It = Events.begin();
+      for (const VarDefSite &D : *Defs) {
+        while (It != Events.end() &&
+               X.preorderPos(*It) < X.preorderPos(D.Block))
+          Merged.push_back(*It++);
+        if (It != Events.end() && *It == D.Block)
+          ++It;
+        Merged.push_back(D.Block);
+      }
+      Merged.insert(Merged.end(), It, Events.end());
+      Events = std::move(Merged);
+    }
+    walkDomTreeBlocks(
+        DT, Events, [this](BlockId B) { return enterBlock(B); },
         [this](Mark M) { exitBlock(M); });
   }
 
@@ -51,18 +87,20 @@ private:
     int LVer = 0, RVer = 0;
   };
 
-  int curVer(VarId V) const {
-    if (V == InvalidVar)
-      return 0; // constant operand: versionless, always "current"
-    return VarStacks[V].empty() ? 0 : VarStacks[V].back();
+  static int top(const std::vector<int> &Stack) {
+    // A constant operand's stack stays empty: versionless, always
+    // "current".
+    return Stack.empty() ? 0 : Stack.back();
   }
-  int curL() const { return curVer(LVar); }
-  int curR() const { return curVer(RVar); }
+  int curL() const { return top(LStack); }
+  int curR() const { return top(RStack); }
 
   int newClass(OccRef Def) { return G.allocateClass(Def); }
 
-  /// ExprStack and VarPushes sizes at a block's entry.
-  using Mark = std::pair<size_t, size_t>;
+  /// ExprStack and operand-stack sizes at a block's entry.
+  struct Mark {
+    size_t Expr, L, R;
+  };
 
   /// Steps 1-4 of the walk at B: pushes B's definitions and occurrences
   /// for its dominator subtree. Returns the mark exitBlock() pops back to.
@@ -77,13 +115,13 @@ private:
   const Cfg &C;
   const DomTree &DT;
 
-  bool LIsConst = false, RIsConst = false;
   VarId LVar = InvalidVar, RVar = InvalidVar;
+  /// The operands' definition blocks in walk order, and the next one.
+  const std::vector<VarDefSite> *LDefs = nullptr, *RDefs = nullptr;
+  size_t NextL = 0, NextR = 0;
 
-  std::vector<std::vector<int>> RealAt;
-  std::vector<std::vector<int>> VarStacks;
+  std::vector<int> LStack, RStack; ///< Operand versions along the path.
   std::vector<StackEntry> ExprStack;
-  std::vector<VarId> VarPushes; ///< operand vars pushed along the path
 };
 
 void Renamer::handleReal(int RealIdx) {
@@ -133,10 +171,10 @@ void Renamer::fillSuccessorOperands(BlockId B) {
     // insert-blocked ⊥. The same holds when an operand variable is still
     // undefined at the end of B.
     bool Blocked = false;
-    for (VarId V : {LVar, RVar}) {
+    for (auto [V, Ver] : {std::pair{LVar, curL()}, std::pair{RVar, curR()}}) {
       if (V == InvalidVar)
         continue;
-      if (curVer(V) == 0)
+      if (Ver == 0)
         Blocked = true;
       for (const Stmt &St : F.Blocks[S].Stmts) {
         if (St.Kind != StmtKind::Phi)
@@ -176,20 +214,21 @@ void Renamer::fillSuccessorOperands(BlockId B) {
 }
 
 Renamer::Mark Renamer::enterBlock(BlockId B) {
-  const BasicBlock &BB = F.Blocks[B];
-  Mark M{ExprStack.size(), VarPushes.size()};
-
-  auto PushVarDef = [&](VarId V, int Version) {
-    if (V != LVar && V != RVar)
-      return;
-    VarStacks[V].push_back(Version);
-    VarPushes.push_back(V);
+  Mark M{ExprStack.size(), LStack.size(), RStack.size()};
+  // The walk enters blocks in the order of its event list, which merged
+  // the definition lists: B's definitions, if any, are the next ones.
+  auto DefsHere = [B](const std::vector<VarDefSite> &Defs, size_t &Next) {
+    return Next != Defs.size() && Defs[Next].Block == B ? &Defs[Next++]
+                                                       : nullptr;
   };
+  const VarDefSite *LDef = DefsHere(*LDefs, NextL);
+  const VarDefSite *RDef = DefsHere(*RDefs, NextR);
 
   // 1. Variable phis at the block head update operand versions first.
-  unsigned I = 0;
-  for (; I != BB.Stmts.size() && BB.Stmts[I].Kind == StmtKind::Phi; ++I)
-    PushVarDef(BB.Stmts[I].Dest, BB.Stmts[I].DestVersion);
+  if (LDef && LDef->PhiVersion)
+    LStack.push_back(LDef->PhiVersion);
+  if (RDef && RDef->PhiVersion)
+    RStack.push_back(RDef->PhiVersion);
 
   // 2. The expression Φ (conceptually after the variable phis).
   int PhiIdx = G.phiAt(B);
@@ -203,19 +242,16 @@ Renamer::Mark Renamer::enterBlock(BlockId B) {
                    P.RVerAtEntry});
   }
 
-  // 3. Straight-line statements: real occurrences and operand kills.
-  unsigned NextReal = 0;
-  const std::vector<int> &RealsHere = RealAt[B];
-  for (; I != BB.Stmts.size(); ++I) {
-    const Stmt &S = BB.Stmts[I];
-    if (NextReal != RealsHere.size() &&
-        G.reals()[RealsHere[NextReal]].StmtIdx == I) {
-      handleReal(RealsHere[NextReal]);
-      ++NextReal;
-    }
-    if (S.definesValue())
-      PushVarDef(S.Dest, S.DestVersion);
-  }
+  // 3. Real occurrences, in statement order. They match by their own
+  // operand versions, so the statements between them, operand kills
+  // included, matter only through the versions at the block's exit.
+  for (unsigned RI = G.firstRealIn(B);
+       RI != G.reals().size() && G.reals()[RI].Block == B; ++RI)
+    handleReal(static_cast<int>(RI));
+  if (LDef)
+    LStack.push_back(LDef->ExitVersion);
+  if (RDef)
+    RStack.push_back(RDef->ExitVersion);
 
   // 4. Assign Φ operands in CFG successors for the edges leaving B.
   fillSuccessorOperands(B);
@@ -226,11 +262,9 @@ Renamer::Mark Renamer::enterBlock(BlockId B) {
 
 void Renamer::exitBlock(Mark M) {
   // 6. Restore the stacks.
-  auto [ExprMark, VarMark] = M;
-  ExprStack.resize(ExprMark);
-  for (size_t I = VarMark; I != VarPushes.size(); ++I)
-    VarStacks[VarPushes[I]].pop_back();
-  VarPushes.resize(VarMark);
+  ExprStack.resize(M.Expr);
+  LStack.resize(M.L);
+  RStack.resize(M.R);
 }
 
 } // namespace

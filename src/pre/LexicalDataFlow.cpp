@@ -15,13 +15,47 @@ LocalExprProps specpre::computeLocalExprProps(
   P.AntLoc.assign(NB, BitVector(NE, false));
   P.Transp.assign(NB, BitVector(NE, true));
 
+  // One hash probe per statement finds the candidate it computes; equal
+  // keys (the list need not be deduplicated) chain through SameKey. Per
+  // variable, the candidates its redefinition kills.
+  ExprKeyIndex Index;
+  std::vector<int> SameKey(NE, -1);
+  std::vector<int> LastOfKey(NE, -1);
+  std::vector<std::vector<unsigned>> Dependents(F.numVars());
+  for (unsigned E = 0; E != NE; ++E) {
+    if (!Index.insert(Exprs[E], E)) {
+      unsigned First = static_cast<unsigned>(Index.find(Exprs[E]));
+      SameKey[LastOfKey[First]] = static_cast<int>(E);
+      LastOfKey[First] = static_cast<int>(E);
+    } else {
+      LastOfKey[E] = static_cast<int>(E);
+    }
+    for (const OperandKey *K : {&Exprs[E].L, &Exprs[E].R}) {
+      if (K->IsConst)
+        continue;
+      if (static_cast<unsigned>(K->Var) >= Dependents.size())
+        Dependents.resize(K->Var + 1);
+      std::vector<unsigned> &D = Dependents[K->Var];
+      if (D.empty() || D.back() != E)
+        D.push_back(E);
+    }
+  }
+
+  // Per expression: the block in which an operand was last (re)defined,
+  // so "killed so far in B" (for AntLoc) is KilledIn[E] == B.
+  std::vector<unsigned> KilledIn(NE, NB);
   for (unsigned B = 0; B != NB; ++B) {
     const BasicBlock &BB = F.Blocks[B];
-    // Track, per expression: whether an operand has been (re)defined so
-    // far in the block (for AntLoc) and whether the latest computation
-    // survives to the exit (for CompAtExit). Variable phis at the head
-    // are transparent merges, not kills.
-    BitVector KilledSoFar(NE, false);
+    auto Kill = [&](VarId V) {
+      for (unsigned E : Dependents[V]) {
+        KilledIn[E] = B;
+        P.Transp[B].reset(E);
+        P.CompAtExit[B].reset(E); // any earlier computation is stale
+      }
+    };
+    // The latest computation survives to the exit unless an operand is
+    // redefined after it. Variable phis at the head are transparent
+    // merges, not kills.
     for (const Stmt &S : BB.Stmts) {
       if (S.Kind == StmtKind::Phi) {
         // A variable phi whose arguments are all versions of its own
@@ -32,33 +66,17 @@ LocalExprProps specpre::computeLocalExprProps(
         bool Foreign = false;
         for (const PhiArg &A : S.PhiArgs)
           Foreign |= !A.Val.isVar() || A.Val.Var != S.Dest;
-        if (Foreign) {
-          for (unsigned E = 0; E != NE; ++E) {
-            if (Exprs[E].dependsOnVar(S.Dest)) {
-              KilledSoFar.set(E);
-              P.Transp[B].reset(E);
-              P.CompAtExit[B].reset(E);
-            }
-          }
-        }
+        if (Foreign)
+          Kill(S.Dest);
         continue;
       }
-      for (unsigned E = 0; E != NE; ++E) {
-        if (Exprs[E].matches(S)) {
-          if (!KilledSoFar.test(E))
-            P.AntLoc[B].set(E);
-          P.CompAtExit[B].set(E);
-        }
+      for (int E = Index.find(S); E >= 0; E = SameKey[E]) {
+        if (KilledIn[E] != B)
+          P.AntLoc[B].set(static_cast<unsigned>(E));
+        P.CompAtExit[B].set(static_cast<unsigned>(E));
       }
-      if (S.definesValue()) {
-        for (unsigned E = 0; E != NE; ++E) {
-          if (Exprs[E].dependsOnVar(S.Dest)) {
-            KilledSoFar.set(E);
-            P.Transp[B].reset(E);
-            P.CompAtExit[B].reset(E); // any earlier computation is stale
-          }
-        }
-      }
+      if (S.definesValue())
+        Kill(S.Dest);
     }
   }
   return P;

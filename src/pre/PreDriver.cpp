@@ -118,7 +118,7 @@ ExprStatsRecord computePlacement(const Function &F, Frg &G, unsigned EI,
   Rec.Expr = E.toString(F);
   Rec.FunctionName = F.Name;
   Rec.ExprIndex = EI;
-  Rec.FrgPhis = static_cast<unsigned>(G.phis().size());
+  Rec.FrgPhis = G.numPhiBlocks();
   Rec.FrgReals = static_cast<unsigned>(G.reals().size());
 
   const bool Speculate = Opts.Strategy == PreStrategy::McSsaPre ||
@@ -218,18 +218,20 @@ void runSsaStrategies(Function &F, const PreOptions &Opts) {
   if (Opts.Strategy == PreStrategy::Lospre)
     gateLospreReducibility(C, DT);
 
-  std::vector<ExprKey> Exprs = collectCandidateExprs(F);
-  // Lexical block-level data flow is unaffected by the per-expression
-  // rewrites (reloads keep the destination, temps are fresh variables),
-  // so it is computed once up front for all candidates.
-  LexicalDataFlow LDF = solveLexicalDataFlow(F, C, Exprs);
+  // The analyses every candidate's FRG shares: the CFG, dominator tree
+  // and lexical data flow are unaffected by the per-expression rewrites
+  // (reloads keep the destination, temps are fresh variables, no
+  // statement changes block), so they are computed once up front.
+  FrgContext Ctx(F, C, DT, collectCandidateExprs(F));
+  const std::vector<ExprKey> &Exprs = Ctx.exprs();
 
   for (unsigned EI = 0; EI != Exprs.size(); ++EI) {
-    Frg G(F, C, DT, Exprs[EI]);
+    Frg G(Ctx, EI);
     if (G.reals().empty())
       continue;
     CrashContext ExprFrame("expression", Exprs[EI].toString(F));
-    ExprStatsRecord Rec = computePlacement(F, G, EI, Opts, LDF, LI);
+    ExprStatsRecord Rec =
+        computePlacement(F, G, EI, Opts, Ctx.dataFlow(), LI);
     commitPlacement(F, G, EI, std::move(Rec), Opts);
   }
 }

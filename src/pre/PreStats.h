@@ -31,6 +31,9 @@ struct ExprStatsRecord {
   /// what makes per-worker shard accumulation deterministic.
   unsigned FuncIndex = 0;
   unsigned ExprIndex = 0;
+  /// Reachable join blocks in the DF+ of step 1 (Frg::numPhiBlocks):
+  /// the FRG's Φ count before the partial-anticipation prune, so the
+  /// statistic and the cache payload do not depend on the prune.
   unsigned FrgPhis = 0;
   unsigned FrgReals = 0;
   bool EfgEmpty = true;

@@ -49,7 +49,9 @@ struct CompileBudget {
 };
 
 /// Mutable accounting of a budget over one function compile (or one
-/// ladder rung). Shareable across the expression-parallel workers.
+/// ladder rung). Each compileWithPre call owns one and installs it for
+/// the thread that runs the function; parallel drivers fan out whole
+/// functions, so no tracker is shared between threads.
 class BudgetTracker {
 public:
   explicit BudgetTracker(const CompileBudget &Limits);

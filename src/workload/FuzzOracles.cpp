@@ -478,10 +478,12 @@ specpre::checkEfgCutOracles(const Function &F, const Profile &Prof,
     constructSsa(Ssa);
   Cfg C(Ssa);
   DomTree DT = DomTree::buildDominators(C);
-  for (const ExprKey &E : collectCandidateExprs(Ssa)) {
+  FrgContext Ctx(Ssa, C, DT, collectCandidateExprs(Ssa));
+  for (unsigned EI = 0; EI != Ctx.exprs().size(); ++EI) {
+    const ExprKey &E = Ctx.exprs()[EI];
     if (E.canFault())
       continue;
-    Frg G(Ssa, C, DT, E);
+    Frg G(Ctx, EI);
     if (G.reals().empty())
       continue;
     EfgStats ES = computeSpeculativePlacement(G, Prof);
@@ -506,7 +508,7 @@ specpre::checkEfgCutOracles(const Function &F, const Profile &Prof,
     // fresh build of the identical EFG must yield a structurally valid
     // cut of exactly the max-flow capacity — or refuse with the
     // documented ResourceLimit. Any other status is an oracle failure.
-    Frg G2(Ssa, C, DT, E);
+    Frg G2(Ctx, EI);
     EfgBuild B = buildEfgNetwork(G2, Prof);
     if (!B.Empty) {
       Expected<MinCutResult> Tw =

@@ -13,8 +13,10 @@
 #include "opt/Cleanup.h"
 #include "opt/ValueNumbering.h"
 #include "pre/PreDriver.h"
+#include "pre/PreStats.h"
 #include "ssa/SsaConstruction.h"
 #include "ssa/SsaDestruction.h"
+#include "support/PassTimer.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
@@ -116,7 +118,7 @@ TEST(Stress, DeepLoopNestProfileAndPre) {
 // Each case also runs as its own ctest under a short TIMEOUT
 // (tests/CMakeLists.txt): a quadratic verifier needs about 2.5e9 block
 // visits for the first, a quadratic parser about 5e9 name probes for the
-// second.
+// second. The FRG case gates deterministic work counters instead.
 
 TEST(NearLinear, VerifierLongStraightLineChain) {
   // entry defines v#1; each of the 50,000 blocks after it uses v#1 and
@@ -218,4 +220,74 @@ TEST(NearLinear, CompileDeepDominatorTree) {
     EXPECT_TRUE(verifyFunction(Opt, Error)) << Error;
     EXPECT_EQ(interpret(Opt, {1}).ReturnValue, int64_t(NumBlocks) + 1);
   }
+}
+
+TEST(NearLinear, FrgPhisPerRealOnDeepChain) {
+  // The deep-chain family of bench/compile_time_scaling (K sequential
+  // width-3 grid regions). Unpruned, the FRGs hold O(candidates x join
+  // blocks) Φs, about 64 per real occurrence at K=128; pruned to the
+  // blocks where the expression is partially anticipated, they stay
+  // proportional to the occurrences. Both gates count work, not time.
+  struct Point {
+    uint64_t Stmts = 0, KeptPhis = 0, Reals = 0, PhiInsertionSize = 0;
+  };
+  std::vector<Point> Points;
+  for (unsigned K = 16; K <= 128; K *= 2) {
+    GeneratorConfig Cfg;
+    Cfg.MaxDepth = 1;
+    Cfg.RegionsPerLevel = K;
+    Cfg.IfChance = 0;
+    Cfg.WhileChance = 0;
+    Cfg.DoWhileChance = 0;
+    Cfg.GridChance = 1000;
+    Cfg.MaxWidth = 3;
+    Cfg.ExprPoolSize = 10;
+    Cfg.InvariantChance = 400;
+    uint64_t Seed = 17 * K + 3;
+    Function F;
+    do
+      F = generateProgram(Seed++, Cfg, "chain" + std::to_string(K));
+    while (F.numBlocks() < K * 15u);
+    prepareFunction(F);
+
+    Profile Prof;
+    ExecOptions EO;
+    EO.MaxSteps = 50'000'000;
+    EO.CollectProfile = &Prof;
+    ExecResult Train =
+        interpret(F, std::vector<int64_t>(F.Params.size(), 1000 + K), EO);
+    ASSERT_FALSE(Train.Trapped || Train.TimedOut) << "K=" << K;
+    Profile NodeOnly = Prof.withoutEdgeFreqs();
+
+    PreStats Stats;
+    PipelineMetrics Metrics;
+    PreOptions PO;
+    PO.Strategy = PreStrategy::McSsaPre;
+    PO.Prof = &NodeOnly;
+    PO.Stats = &Stats;
+    PO.Verify = false;
+    (void)compileWithPre(F, PO, &Metrics);
+
+    Point P;
+    for (const BasicBlock &BB : F.Blocks)
+      P.Stmts += BB.Stmts.size();
+    for (const ExprStatsRecord &R : Stats.records())
+      P.Reals += R.FrgReals;
+    P.PhiInsertionSize = Metrics.step(PipelineStep::PhiInsertion).ProblemSize;
+    P.KeptPhis = P.PhiInsertionSize - P.Reals;
+    ASSERT_GT(P.Reals, 0u);
+    EXPECT_LE(P.KeptPhis, 2 * P.Reals)
+        << "K=" << K << ": " << P.KeptPhis << " FRG Φs for " << P.Reals
+        << " real occurrences";
+    Points.push_back(P);
+  }
+  // The PhiInsertion step's problem size (kept Φs + reals) grows no
+  // faster than 1.5x the program from K=16 to K=128.
+  double SizeRatio = double(Points.back().PhiInsertionSize) /
+                     double(Points.front().PhiInsertionSize);
+  double StmtRatio =
+      double(Points.back().Stmts) / double(Points.front().Stmts);
+  EXPECT_LE(SizeRatio, 1.5 * StmtRatio)
+      << "Φ-insertion problem size grew " << SizeRatio
+      << "x while the program grew " << StmtRatio << "x";
 }

@@ -386,8 +386,10 @@ int writeSideChannels(const ToolOptions &Opts, const ServeFunctionView &V,
     std::optional<Profile> NodeProf;
     if (V.Prof)
       NodeProf = V.Prof->withoutEdgeFreqs();
-    for (const ExprKey &E : collectCandidateExprs(Copy)) {
-      Frg G(Copy, C, DT, E);
+    FrgContext Ctx(Copy, C, DT, collectCandidateExprs(Copy));
+    for (unsigned EI = 0; EI != Ctx.exprs().size(); ++EI) {
+      const ExprKey &E = Ctx.exprs()[EI];
+      Frg G(Ctx, EI);
       if (NodeProf && !E.canFault())
         computeSpeculativePlacement(G, *NodeProf, Opts.Req.Placement,
                                     Opts.Req.Algo, Opts.Req.Objective);
