@@ -37,7 +37,6 @@
 #include "workload/ProgramGenerator.h"
 
 #include <chrono>
-#include <iterator>
 #include <cstdio>
 #include <vector>
 
@@ -47,9 +46,8 @@ using namespace specpre::benchreport;
 int main() {
   printTitle("Compile-time scaling: MC-SSAPRE vs MC-PRE (paper Section "
              "3.3)");
-  std::printf("%8s %8s %8s %12s %12s %12s %12s %10s\n", "blocks",
-              "stmts", "exprs", "MC-SSAPRE", "(ek)", "MC-PRE", "LOSPRE",
-              "max EFG");
+  std::printf("%8s %8s %8s %12s %12s %12s %10s\n", "blocks", "stmts",
+              "exprs", "MC-SSAPRE", "MC-PRE", "LOSPRE", "max EFG");
   for (unsigned Scale = 1; Scale <= 4; ++Scale) {
     GeneratorConfig Cfg;
     Cfg.MaxDepth = 2 + Scale;
@@ -86,33 +84,17 @@ int main() {
     Profile NodeOnly = Prof.withoutEdgeFreqs();
 
     PreStats Stats;
-    double McCfg;
-    size_t NumExprs = 0;
-    // MC-SSAPRE once per max-flow algorithm: the EFGs are identical, so
-    // any spread between the columns is solver cost alone.
-    double McSsaBy[std::size(AllMaxFlowAlgorithms)] = {};
-    for (size_t AI = 0; AI != std::size(AllMaxFlowAlgorithms); ++AI) {
+    double McSsa, McCfg;
+    {
       PreOptions PO;
       PO.Strategy = PreStrategy::McSsaPre;
       PO.Prof = &NodeOnly;
-      PO.Algo = AllMaxFlowAlgorithms[AI];
       PO.Verify = false;
-      if (AllMaxFlowAlgorithms[AI] == MaxFlowAlgorithm::Dinic)
-        PO.Stats = &Stats;
+      PO.Stats = &Stats;
       auto T0 = std::chrono::steady_clock::now();
       (void)compileWithPre(Prepared, PO);
       auto T1 = std::chrono::steady_clock::now();
-      McSsaBy[AI] =
-          std::chrono::duration<double, std::milli>(T1 - T0).count();
-      if (PO.Stats)
-        NumExprs = Stats.records().size();
-    }
-    double McSsa = 0, McSsaEk = 0;
-    for (size_t AI = 0; AI != std::size(AllMaxFlowAlgorithms); ++AI) {
-      if (AllMaxFlowAlgorithms[AI] == MaxFlowAlgorithm::Dinic)
-        McSsa = McSsaBy[AI];
-      else
-        McSsaEk = McSsaBy[AI];
+      McSsa = std::chrono::duration<double, std::milli>(T1 - T0).count();
     }
     {
       auto T0 = std::chrono::steady_clock::now();
@@ -133,9 +115,8 @@ int main() {
       auto T1 = std::chrono::steady_clock::now();
       Lospre = std::chrono::duration<double, std::milli>(T1 - T0).count();
     }
-    std::printf("%8u %8u %8zu %10.2fms %10.2fms %10.2fms "
-                "%9.2fms%c %9u\n",
-                Prepared.numBlocks(), Stmts, NumExprs, McSsa, McSsaEk,
+    std::printf("%8u %8u %8zu %10.2fms %10.2fms %9.2fms%c %9u\n",
+                Prepared.numBlocks(), Stmts, Stats.records().size(), McSsa,
                 McCfg, Lospre, Outcome.degraded() ? '*' : ' ',
                 Stats.largestEfg());
   }

@@ -6,7 +6,6 @@
 #include "support/Diagnostics.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <vector>
 
@@ -138,19 +137,6 @@ const char *specpre::maxFlowAlgorithmName(MaxFlowAlgorithm Algo) {
     return "dinic";
   }
   SPECPRE_UNREACHABLE("bad max-flow algorithm");
-}
-
-bool specpre::parseMaxFlowAlgorithm(const char *Name,
-                                    MaxFlowAlgorithm &Out) {
-  if (!std::strcmp(Name, "edmonds-karp") || !std::strcmp(Name, "ek")) {
-    Out = MaxFlowAlgorithm::EdmondsKarp;
-    return true;
-  }
-  if (!std::strcmp(Name, "dinic")) {
-    Out = MaxFlowAlgorithm::Dinic;
-    return true;
-  }
-  return false;
 }
 
 int64_t specpre::computeMaxFlow(FlowNetwork &Net, int Source, int Sink,

@@ -21,16 +21,13 @@
 
 namespace specpre {
 
-/// The numeric values are part of the compilation-cache key; keep them.
-enum class MaxFlowAlgorithm { EdmondsKarp = 0, Dinic = 1 };
+/// Dinic is the solver MC-SSAPRE and MC-PRE use; Edmonds-Karp exists
+/// for the test, fuzz and bench matrices that cross-check it.
+enum class MaxFlowAlgorithm { EdmondsKarp, Dinic };
 
-/// Stable machine-readable name ("edmonds-karp", "dinic"), used by tool
-/// flags and the bench JSON.
+/// Stable machine-readable name ("edmonds-karp", "dinic"), used in
+/// oracle diagnostics and the bench JSON.
 const char *maxFlowAlgorithmName(MaxFlowAlgorithm Algo);
-
-/// Inverse of maxFlowAlgorithmName (also accepts "ek").
-/// Returns false on an unknown name.
-bool parseMaxFlowAlgorithm(const char *Name, MaxFlowAlgorithm &Out);
 
 /// All implemented algorithms, for test/fuzz matrices.
 constexpr MaxFlowAlgorithm AllMaxFlowAlgorithms[] = {

@@ -87,12 +87,11 @@ CacheKey specpre::compileCacheKey(const Function &Prepared,
   HashBuilder H;
   // Format tag: bumping it orphans every existing entry (they stay
   // undecoded on disk until evicted, never served).
-  H.addString("specpre-cache-key-v2");
+  H.addString("specpre-cache-key-v3");
   hashFunctionInto(H, Prepared);
 
   H.addString(strategyName(Opts.Strategy));
   H.addU64(static_cast<uint64_t>(Opts.Placement));
-  H.addU64(static_cast<uint64_t>(Opts.Algo));
   H.addU64(Opts.Objective.SpeedWeight);
   H.addU64(Opts.Objective.SizeWeight);
   H.addBool(Opts.Verify);
@@ -103,16 +102,6 @@ CacheKey specpre::compileCacheKey(const Function &Prepared,
   // below it), so it is part of the key — but only when leg D runs.
   if (Opts.Strategy == PreStrategy::Lospre)
     H.addU64(Opts.LospreMaxWidth);
-
-  H.addBool(Opts.EquivalenceInputs != nullptr);
-  if (Opts.EquivalenceInputs) {
-    H.addU64(Opts.EquivalenceInputs->size());
-    for (const std::vector<int64_t> &Args : *Opts.EquivalenceInputs) {
-      H.addU64(Args.size());
-      for (int64_t A : Args)
-        H.addI64(A);
-    }
-  }
 
   // Only the profile slice the strategy actually consumes enters the
   // key: node frequencies for MC-SSAPRE and LOSPRE, node+edge for MC-PRE (it
@@ -255,11 +244,11 @@ Function specpre::compileThroughCache(const Function &Prepared,
   if (ReplayedHitOut)
     *ReplayedHitOut = false;
   CompileCache *Cache = Opts.Cache;
-  // Pipeline fault injection makes outcomes a function of a
-  // process-global fault counter, not of the compile's inputs: bypass
-  // the cache entirely. The network/process/disk sites only perturb
-  // transport and storage — outcomes stay input-pure under them, and
-  // the disk sites in particular *need* cache traffic to fire at all.
+  // Pipeline fault injection makes outcomes a function of the armed
+  // spec, which the key does not capture: bypass the cache entirely.
+  // The network/process/disk sites only perturb transport and storage —
+  // outcomes stay input-pure under them, and the disk sites in
+  // particular *need* cache traffic to fire at all.
   if (!Cache || Cache->mode() == CacheMode::Off ||
       pipelineFaultInjectionEnabled())
     return Compile(Prepared, Opts, OutcomeOut);

@@ -11,12 +11,12 @@
 ///
 ///  * **what identifies a compilation** — compileCacheKey() folds the
 ///    structural IR hash (ir/StructuralHash.h) together with every input
-///    that can change the output: the strategy, the placement/algorithm/
-///    objective knobs, the verification and budget settings, the
-///    equivalence-check inputs, and the *relevant slice* of the profile
-///    (node frequencies for MC-SSAPRE, node+edge for MC-PRE, nothing for
-///    the profile-free legs — so touching a profile never invalidates a
-///    compile that would not have read it);
+///    that can change the output: the strategy, the placement and
+///    objective knobs, the verification and budget settings, and the
+///    *relevant slice* of the profile (node frequencies for MC-SSAPRE,
+///    node+edge for MC-PRE, nothing for the profile-free legs — so
+///    touching a profile never invalidates a compile that would not have
+///    read it);
 ///
 ///  * **what a result is** — encode/decodeCachePayload() serialize the
 ///    optimized function (printed IR plus the IsSSA flag, which the
@@ -26,11 +26,12 @@
 ///    stream included, bit-identically;
 ///
 ///  * **when caching is sound** — compileThroughCache() skips the cache
-///    entirely under fault injection (outcomes depend on a global
-///    fault-site counter) and refuses to store degraded results (their
-///    shape depends on which rung happened to fail). In Verify mode a
-///    hit additionally recompiles and cross-checks bit-for-bit — the
-///    end-to-end oracle that the key really captures every input.
+///    entirely under pipeline fault injection (outcomes depend on the
+///    armed spec, which the key omits) and refuses to store degraded
+///    results (their shape depends on which rung happened to fail). In
+///    Verify mode a hit additionally recompiles and cross-checks
+///    bit-for-bit — the end-to-end oracle that the key really captures
+///    every input.
 ///
 //===----------------------------------------------------------------------===//
 

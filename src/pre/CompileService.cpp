@@ -44,8 +44,6 @@ std::string specpre::encodeServeRequest(const ServeRequest &R) {
   Out += strategyFlagName(R.Strategy);
   Out += "\nplacement ";
   Out += R.Placement == CutPlacement::Earliest ? "earliest" : "latest";
-  Out += "\nalgo ";
-  Out += maxFlowAlgorithmName(R.Algo);
   // The objective travels as its raw weights, not a preset name, so any
   // CutObjective round-trips (speedThenSize and custom weights alike).
   Out += "\nobjective " + std::to_string(R.Objective.SpeedWeight) + " " +
@@ -100,9 +98,6 @@ bool specpre::decodeServeRequest(const std::string &Payload,
         Out.Placement = CutPlacement::Earliest;
       else
         return Bad("bad placement '" + Tok[1] + "'");
-    } else if (Key == "algo") {
-      if (Tok.size() != 2 || !parseMaxFlowAlgorithm(Tok[1].c_str(), Out.Algo))
-        return Bad("bad algo directive");
     } else if (Key == "objective") {
       if (Tok.size() != 3 || !parseU64(Tok[1], Out.Objective.SpeedWeight) ||
           !parseU64(Tok[2], Out.Objective.SizeWeight))
@@ -376,7 +371,6 @@ specpre::processServeRequest(const ServeRequest &R, ParallelPreDriver &Driver,
     PO.Strategy = R.Strategy;
     PO.Prof = R.Strategy == PreStrategy::McPre ? &Fn.Prof : &Fn.NodeOnly;
     PO.Placement = R.Placement;
-    PO.Algo = R.Algo;
     PO.Objective = R.Objective;
     PO.Budget = R.Budget;
     PO.LospreMaxWidth = R.LospreMaxWidth;

@@ -76,7 +76,6 @@ struct ServeRequest {
   std::string ModuleText;
   PreStrategy Strategy = PreStrategy::McSsaPre;
   CutPlacement Placement = CutPlacement::Latest;
-  MaxFlowAlgorithm Algo = MaxFlowAlgorithm::Dinic;
   CutObjective Objective = CutObjective::speed();
   CompileBudget Budget;
   /// Leg D's treewidth budget (PreOptions::LospreMaxWidth). Only on the

@@ -12,29 +12,6 @@
 
 using namespace specpre;
 
-namespace {
-
-/// Single-expression availability on the (possibly already edited)
-/// function: forward, intersect.
-DataFlowResult solveAvailability(const Function &F, const Cfg &C,
-                                 const ExprKey &E) {
-  std::vector<ExprKey> One{E};
-  LocalExprProps Local = computeLocalExprProps(F, One);
-  DataFlowProblem P;
-  P.Dir = DataFlowProblem::Direction::Forward;
-  P.MeetOp = DataFlowProblem::Meet::Intersect;
-  P.NumBits = 1;
-  P.Boundary = BitVector(1, false);
-  P.Gen = Local.CompAtExit;
-  P.Kill.assign(F.numBlocks(), BitVector(1, false));
-  for (unsigned B = 0; B != F.numBlocks(); ++B)
-    if (!Local.Transp[B].test(0))
-      P.Kill[B].set(0);
-  return solveDataFlow(C, P);
-}
-
-} // namespace
-
 void specpre::applyEdgeInsertionsAndRewrite(
     Function &F, const ExprKey &E,
     const std::vector<std::pair<BlockId, BlockId>> &Inserts, VarId TempVar,
@@ -75,7 +52,7 @@ void specpre::applyEdgeInsertionsAndRewrite(
 
   // Phase 2: availability after the insertions.
   Cfg C(F);
-  DataFlowResult Avail = solveAvailability(F, C, E);
+  DataFlowResult Avail = solveLexicalAvailability(F, C, {E});
 
   // Phase 3: rewrite occurrences.
   for (unsigned B = 0; B != F.numBlocks(); ++B) {

@@ -82,50 +82,56 @@ LocalExprProps specpre::computeLocalExprProps(
   return P;
 }
 
+namespace {
+
+/// KILL = !TRANSP, the kill sets of every lexical problem.
+std::vector<BitVector> notTransparent(const LocalExprProps &Local,
+                                      unsigned NE) {
+  std::vector<BitVector> Kill(Local.Transp.size(), BitVector(NE, true));
+  for (unsigned B = 0; B != Kill.size(); ++B)
+    Kill[B].subtract(Local.Transp[B]);
+  return Kill;
+}
+
+/// Availability: forward, intersect. GEN = CompAtExit, KILL = !Transp.
+DataFlowResult solveAvailability(const Cfg &C, const LocalExprProps &Local,
+                                 unsigned NE) {
+  DataFlowProblem P;
+  P.Dir = DataFlowProblem::Direction::Forward;
+  P.MeetOp = DataFlowProblem::Meet::Intersect;
+  P.NumBits = NE;
+  P.Boundary = BitVector(NE, false);
+  P.Gen = Local.CompAtExit;
+  P.Kill = notTransparent(Local, NE);
+  return solveDataFlow(C, P);
+}
+
+} // namespace
+
+DataFlowResult specpre::solveLexicalAvailability(
+    const Function &F, const Cfg &C, const std::vector<ExprKey> &Exprs) {
+  unsigned NE = static_cast<unsigned>(Exprs.size());
+  return solveAvailability(C, computeLocalExprProps(F, Exprs), NE);
+}
+
 LexicalDataFlow specpre::solveLexicalDataFlow(
     const Function &F, const Cfg &C, const std::vector<ExprKey> &Exprs) {
   LexicalDataFlow LDF;
   LDF.Local = computeLocalExprProps(F, Exprs);
   unsigned NE = static_cast<unsigned>(Exprs.size());
-  unsigned NB = F.numBlocks();
-
-  // Availability: forward, intersect. GEN = CompAtExit, KILL = !Transp.
-  {
-    DataFlowProblem P;
-    P.Dir = DataFlowProblem::Direction::Forward;
-    P.MeetOp = DataFlowProblem::Meet::Intersect;
-    P.NumBits = NE;
-    P.Boundary = BitVector(NE, false);
-    P.Gen = LDF.Local.CompAtExit;
-    P.Kill.assign(NB, BitVector(NE, false));
-    for (unsigned B = 0; B != NB; ++B) {
-      BitVector K = LDF.Local.Transp[B];
-      // KILL = not transparent...
-      BitVector NotTransp(NE, true);
-      NotTransp.subtract(K);
-      P.Kill[B] = NotTransp;
-    }
-    LDF.Avail = solveDataFlow(C, P);
-  }
+  LDF.Avail = solveAvailability(C, LDF.Local, NE);
 
   // Anticipability: backward. GEN = AntLoc, KILL = !Transp.
-  {
-    DataFlowProblem P;
-    P.Dir = DataFlowProblem::Direction::Backward;
-    P.NumBits = NE;
-    P.Boundary = BitVector(NE, false);
-    P.Gen = LDF.Local.AntLoc;
-    P.Kill.assign(NB, BitVector(NE, false));
-    for (unsigned B = 0; B != NB; ++B) {
-      BitVector NotTransp(NE, true);
-      NotTransp.subtract(LDF.Local.Transp[B]);
-      P.Kill[B] = NotTransp;
-    }
-    P.MeetOp = DataFlowProblem::Meet::Intersect;
-    LDF.Ant = solveDataFlow(C, P);
-    P.MeetOp = DataFlowProblem::Meet::Union;
-    LDF.PartAnt = solveDataFlow(C, P);
-  }
+  DataFlowProblem P;
+  P.Dir = DataFlowProblem::Direction::Backward;
+  P.NumBits = NE;
+  P.Boundary = BitVector(NE, false);
+  P.Gen = LDF.Local.AntLoc;
+  P.Kill = notTransparent(LDF.Local, NE);
+  P.MeetOp = DataFlowProblem::Meet::Intersect;
+  LDF.Ant = solveDataFlow(C, P);
+  P.MeetOp = DataFlowProblem::Meet::Union;
+  LDF.PartAnt = solveDataFlow(C, P);
   return LDF;
 }
 
@@ -137,14 +143,14 @@ bool specpre::checkReloadsFullyAvailable(
   for (const auto &[Key, Temp] : TempMap)
     Exprs.push_back(Key);
   Cfg C(Transformed);
-  LexicalDataFlow LDF = solveLexicalDataFlow(Transformed, C, Exprs);
+  DataFlowResult Global = solveLexicalAvailability(Transformed, C, Exprs);
 
   for (unsigned B = 0; B != Transformed.numBlocks(); ++B) {
     if (!C.isReachable(static_cast<BlockId>(B)))
       continue;
     const BasicBlock &BB = Transformed.Blocks[B];
     // Walk the block tracking intra-block availability per expression.
-    BitVector Avail = LDF.Avail.In[B];
+    BitVector Avail = Global.In[B];
     for (const Stmt &S : BB.Stmts) {
       if (S.Kind == StmtKind::Phi)
         continue;

@@ -67,6 +67,12 @@ struct LexicalDataFlow {
 LexicalDataFlow solveLexicalDataFlow(const Function &F, const Cfg &C,
                                      const std::vector<ExprKey> &Exprs);
 
+/// Full availability alone (LexicalDataFlow::Avail), for the callers
+/// that read nothing else: the Definition-1 check and the edge-insertion
+/// rewrite.
+DataFlowResult solveLexicalAvailability(const Function &F, const Cfg &C,
+                                        const std::vector<ExprKey> &Exprs);
+
 /// Definition-1 correctness criterion, checked on the transformed
 /// function: at every reload site (a Copy statement reading one of the
 /// PRE temporaries in \p TempMap) the associated lexical expression must
@@ -74,8 +80,8 @@ LexicalDataFlow solveLexicalDataFlow(const Function &F, const Cfg &C,
 /// subsequent operand redefinition. Deleted (reloaded) original
 /// computation points satisfy Definition 1 exactly when this holds.
 ///
-/// This is an independent oracle: it reruns classic bit-vector
-/// availability and never looks at FRG internals.
+/// This is an independent oracle: it builds its own Cfg, reruns classic
+/// bit-vector availability and never looks at FRG internals.
 bool checkReloadsFullyAvailable(
     const Function &Transformed,
     const std::vector<std::pair<ExprKey, VarId>> &TempMap,

@@ -278,7 +278,6 @@ EfgBuild specpre::buildEfgNetwork(Frg &G, const Profile &Prof,
 
 EfgStats specpre::computeSpeculativePlacement(Frg &G, const Profile &Prof,
                                               CutPlacement Placement,
-                                              MaxFlowAlgorithm Algo,
                                               CutObjective Objective) {
   EfgStats Stats;
 
@@ -306,7 +305,7 @@ EfgStats specpre::computeSpeculativePlacement(Frg &G, const Profile &Prof,
   maybeInject(FaultSite::Budget, "EFG min-cut boundary");
 
   // Step 7: minimum cut, picking later cuts on ties via reverse labeling.
-  MinCutResult Cut = computeMinCut(Net, B.Source, B.Sink, Placement, Algo);
+  MinCutResult Cut = computeMinCut(Net, B.Source, B.Sink, Placement);
 
   // Steps 7b-8: validation, cut application, Figure-7 propagation.
   applyEfgCut(G, B, Cut, "MC-SSAPRE", Stats);

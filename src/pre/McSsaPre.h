@@ -115,7 +115,6 @@ EfgBuild buildEfgNetwork(Frg &G, const Profile &Prof,
 EfgStats computeSpeculativePlacement(
     Frg &G, const Profile &Prof,
     CutPlacement Placement = CutPlacement::Latest,
-    MaxFlowAlgorithm Algo = MaxFlowAlgorithm::Dinic,
     CutObjective Objective = CutObjective::speed());
 
 /// Step 8 alone (paper Figure 7): recomputes WillBeAvail for all Φs of

@@ -20,10 +20,10 @@
 #include "pre/McPre.h"
 #include "pre/McSsaPre.h"
 #include "pre/SsaPre.h"
-#include "interp/Interpreter.h"
 #include "ssa/SsaConstruction.h"
 #include "support/CrashContext.h"
 #include "support/Diagnostics.h"
+#include "support/FaultInjector.h"
 
 #include <cassert>
 #include <exception>
@@ -139,7 +139,7 @@ ExprStatsRecord computePlacement(const Function &F, Frg &G, unsigned EI,
                     ? computeLosprePlacement(G, *Opts.Prof, Opts.Objective,
                                              Opts.LospreMaxWidth)
                     : computeSpeculativePlacement(G, *Opts.Prof,
-                                                  Opts.Placement, Opts.Algo,
+                                                  Opts.Placement,
                                                   Opts.Objective);
   Rec.Speculated = true;
   Rec.EfgEmpty = ES.Empty;
@@ -309,24 +309,6 @@ std::vector<PreStrategy> specpre::degradationLadder(PreStrategy Requested) {
   SPECPRE_UNREACHABLE("bad strategy");
 }
 
-Status specpre::checkObservableEquivalence(const Function &Prepared,
-                                           const Function &Optimized,
-                                           const PreOptions &Opts) {
-  if (!Opts.EquivalenceInputs)
-    return Status::ok();
-  for (const std::vector<int64_t> &Raw : *Opts.EquivalenceInputs) {
-    std::vector<int64_t> Args = Raw;
-    Args.resize(Prepared.Params.size(), 0);
-    ExecResult Before = interpret(Prepared, Args);
-    ExecResult After = interpret(Optimized, Args);
-    if (!Before.sameObservableBehavior(After))
-      return Status::error(ErrorCode::VerifyFailed,
-                           "interpreter equivalence violated: " +
-                               Before.describe() + " vs " + After.describe());
-  }
-  return Status::ok();
-}
-
 namespace {
 
 /// The degradation-ladder walk itself, cache-oblivious; the public
@@ -338,6 +320,9 @@ Function compileWithFallbackUncached(const Function &Prepared,
   assert(!Prepared.IsSSA &&
          "compileWithFallback expects prepared non-SSA input");
   CrashContext FnFrame("function", Prepared.Name);
+  // Injected pipeline faults count their hits per function compile, so
+  // a function's outcome does not depend on what compiled before it.
+  FaultHitScope FaultHits;
 
   CompileOutcomeRecord Outcome;
   Outcome.FunctionName = Prepared.Name;
@@ -358,16 +343,12 @@ Function compileWithFallbackUncached(const Function &Prepared,
 
     Status Failure = Status::ok();
     try {
-      Function F = compileWithPre(Prepared, RungOpts, Metrics);
-      Failure = checkObservableEquivalence(Prepared, F, Opts);
-      if (Failure.isOk()) {
-        Outcome.Used = strategyName(Rung);
-        if (Opts.Stats)
-          for (const ExprStatsRecord &R : RungStats.records())
-            Opts.Stats->addRecord(R);
-        Result = std::move(F);
-        break;
-      }
+      Result = compileWithPre(Prepared, RungOpts, Metrics);
+      Outcome.Used = strategyName(Rung);
+      if (Opts.Stats)
+        for (const ExprStatsRecord &R : RungStats.records())
+          Opts.Stats->addRecord(R);
+      break;
     } catch (const StatusException &E) {
       Failure = E.status();
     } catch (const std::exception &E) {

@@ -72,7 +72,6 @@ struct PreOptions {
   /// Tie-breaking of minimum cuts; Latest is the paper's choice
   /// (lifetime optimality). Earliest exists for the ablation bench.
   CutPlacement Placement = CutPlacement::Latest;
-  MaxFlowAlgorithm Algo = MaxFlowAlgorithm::Dinic;
   /// What the MC-SSAPRE cut minimizes: the paper optimizes speed;
   /// CutObjective::size() explores the Section-6 code-size direction.
   CutObjective Objective = CutObjective::speed();
@@ -87,11 +86,6 @@ struct PreOptions {
   /// Exhaustion surfaces as StatusException(BudgetExhausted), which the
   /// degradation ladder turns into a retry on a cheaper strategy.
   CompileBudget Budget;
-  /// When non-null, compileWithFallback additionally checks interpreter
-  /// equivalence of the transformed function against the prepared input
-  /// on each argument vector before accepting a rung's result. Argument
-  /// vectors are padded/truncated to the function's arity.
-  const std::vector<std::vector<int64_t>> *EquivalenceInputs = nullptr;
   /// Leg D's treewidth budget: computeLosprePlacement refuses, with a
   /// recoverable ResourceLimit, any EFG whose tree decomposition comes
   /// out wider than this (the DP is O(2^w · N), so the bound caps both
@@ -139,20 +133,14 @@ Function compileWithPre(const Function &Prepared, const PreOptions &Opts,
 ///   SSAPRE    -> none                  LCM    -> none
 std::vector<PreStrategy> degradationLadder(PreStrategy Requested);
 
-/// Interpreter equivalence of \p Optimized against \p Prepared on
-/// Opts.EquivalenceInputs (ok when unset). Used by the ladder drivers to
-/// gate acceptance of a rung's result.
-Status checkObservableEquivalence(const Function &Prepared,
-                                  const Function &Optimized,
-                                  const PreOptions &Opts);
-
 /// Fault-isolated compilation of one function: tries the requested
 /// strategy under Opts.Budget, and on any recoverable failure (injected
 /// fault, budget exhaustion, verification failure, recoverable internal
 /// error) retries down the degradation ladder. Each rung restarts with a
-/// fresh budget and is accepted only if the verifier (and, when
-/// EquivalenceInputs is set, interpreter equivalence with the input)
-/// passes. Never fails: the identity rung returns the input unchanged.
+/// fresh budget and is accepted once it compiles: with Opts.Verify, a
+/// rung that fails the verifier or the Definition-1 check throws and is
+/// never accepted. Never fails: the identity rung returns the input
+/// unchanged.
 ///
 /// Any exception other than StatusException is contained as
 /// ErrorCode::WorkerFailed on every rung; only signals stay fatal.

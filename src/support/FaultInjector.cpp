@@ -38,8 +38,12 @@ std::vector<std::unique_ptr<const InjectorConfig>> &retiredConfigs() {
   return Retired;
 }
 
-/// Per-site deterministic hit counters (shared across threads).
+/// Per-site deterministic hit counters (shared across threads), used
+/// by every site outside a FaultHitScope.
 std::array<std::atomic<uint64_t>, NumFaultSites> HitCounters{};
+
+/// The innermost FaultHitScope of this thread; null outside any.
+thread_local FaultHitScope *CurrentHitScope = nullptr;
 
 std::atomic<uint64_t> InjectedTotal{0};
 
@@ -226,7 +230,7 @@ bool specpre::pipelineFaultInjectionEnabled() {
   const InjectorConfig *Config = Active.load(std::memory_order_acquire);
   if (!Config)
     return false;
-  for (unsigned I = 0; I <= static_cast<unsigned>(FaultSite::Budget); ++I)
+  for (unsigned I = 0; I != NumPipelineFaultSites; ++I)
     if (Config->Sites[I].Armed)
       return true;
   return false;
@@ -235,8 +239,9 @@ bool specpre::pipelineFaultInjectionEnabled() {
 namespace {
 
 /// Shared coin flip of maybeInject/shouldInjectFault: bumps the site's
-/// hit counter and, on a firing coin, the injected total. Returns the
-/// hit index through \p HitOut when the coin fires.
+/// hit counter (the thread's FaultHitScope for a pipeline site, else the
+/// process-wide one) and, on a firing coin, the injected total. Returns
+/// the hit index through \p HitOut when the coin fires.
 bool coinFires(FaultSite S, uint64_t &HitOut) {
   const InjectorConfig *Config = Active.load(std::memory_order_acquire);
   if (!Config)
@@ -244,8 +249,11 @@ bool coinFires(FaultSite S, uint64_t &HitOut) {
   const SiteConfig &SC = Config->Sites[static_cast<unsigned>(S)];
   if (!SC.Armed || SC.Threshold == 0)
     return false;
-  uint64_t Hit = HitCounters[static_cast<unsigned>(S)].fetch_add(
-      1, std::memory_order_relaxed);
+  uint64_t Hit =
+      CurrentHitScope && static_cast<unsigned>(S) < NumPipelineFaultSites
+          ? CurrentHitScope->nextHit(S)
+          : HitCounters[static_cast<unsigned>(S)].fetch_add(
+                1, std::memory_order_relaxed);
   uint64_t Coin =
       mix64(SC.Seed * 0x100000001b3ULL + static_cast<unsigned>(S) * 131 + Hit);
   if ((Coin & 0xffffffffULL) >= SC.Threshold)
@@ -276,3 +284,9 @@ bool specpre::shouldInjectFault(FaultSite S) {
 uint64_t specpre::faultsInjectedCount() {
   return InjectedTotal.load(std::memory_order_relaxed);
 }
+
+FaultHitScope::FaultHitScope() : Outer(CurrentHitScope) {
+  CurrentHitScope = this;
+}
+
+FaultHitScope::~FaultHitScope() { CurrentHitScope = Outer; }

@@ -27,11 +27,13 @@
 /// throws StatusException(FaultInjected), which the per-function ladder
 /// treats exactly like a real recoverable failure.
 ///
-/// Determinism: each (site, hit-counter) pair is hashed with the seed,
-/// so a serial run replays bit-identically. Under the parallel driver
-/// the per-site counters are still atomic and totals are stable, but
-/// which expression observes hit #k depends on scheduling; see
-/// docs/ROBUSTNESS.md.
+/// Determinism: each (site, hit-counter) pair is hashed with the seed.
+/// The pipeline sites count their hits per function compile (the ladder
+/// walk installs a FaultHitScope), so which faults fire in a function,
+/// and the hit index its messages name, depend only on that function
+/// and the spec: output is the same at any --jobs and whichever
+/// functions compile before it. The network, process and disk sites
+/// count process-wide; re-arming a spec resets those counters.
 ///
 /// When no spec is armed (the default), maybeInject() is a single
 /// relaxed atomic load of a null pointer — cheap enough to leave the
@@ -44,6 +46,7 @@
 
 #include "support/Status.h"
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -86,6 +89,10 @@ enum class FaultSite : unsigned {
 constexpr unsigned NumFaultSites =
     static_cast<unsigned>(FaultSite::DiskRenameFail) + 1;
 
+/// The pipeline sites are phi-insertion through budget.
+constexpr unsigned NumPipelineFaultSites =
+    static_cast<unsigned>(FaultSite::Budget) + 1;
+
 /// Spec-string spelling of \p S ("min-cut", "alloc", ...).
 const char *faultSiteName(FaultSite S);
 
@@ -122,6 +129,25 @@ bool shouldInjectFault(FaultSite S);
 /// Total injected faults since the last configure/disable, across all
 /// sites and threads. Lets tools report how much the run was stressed.
 uint64_t faultsInjectedCount();
+
+/// While alive, the pipeline sites probed on this thread count their
+/// hits here, from zero, instead of in the process-wide counters. The
+/// ladder walk (compileWithFallback) holds one per function compile;
+/// scopes nest, the innermost one counting.
+class FaultHitScope {
+public:
+  FaultHitScope();
+  ~FaultHitScope();
+  FaultHitScope(const FaultHitScope &) = delete;
+  FaultHitScope &operator=(const FaultHitScope &) = delete;
+
+  /// The next hit index of pipeline site \p S, post-incremented.
+  uint64_t nextHit(FaultSite S) { return Hits[static_cast<unsigned>(S)]++; }
+
+private:
+  std::array<uint64_t, NumPipelineFaultSites> Hits{};
+  FaultHitScope *Outer;
+};
 
 } // namespace specpre
 

@@ -4,13 +4,17 @@
 // the transformed program must (a) verify, (b) behave observationally
 // identically on multiple inputs, and (c) never compute more than the
 // original on the profiled input (for profile-guided strategies) or on
-// every input (for safe SSAPRE).
+// every input (for safe SSAPRE). The Definition-1 oracle that (a) runs
+// is also checked on hand-placed transforms, broken and correct.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interpreter.h"
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "pre/ExprKey.h"
+#include "pre/LexicalDataFlow.h"
 #include "pre/PreDriver.h"
 #include "profile/Profile.h"
 #include "support/Random.h"
@@ -189,4 +193,89 @@ TEST(ProfileRobustness, TruncatedProfileIsTolerated) {
   std::vector<int64_t> Args(Prepared.Params.size(), 3);
   EXPECT_TRUE(interpret(Prepared, Args)
                   .sameObservableBehavior(interpret(Opt, Args)));
+}
+
+//===----------------------------------------------------------------------===//
+// The Definition-1 oracle (checkReloadsFullyAvailable) on hand-placed
+// transforms: every reload of `t` must see `a + b` fully available.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The oracle's verdict on \p Text, with `t` the temporary of its one
+/// candidate expression: "<accepted>" or the exact message.
+std::string definitionOneVerdict(std::string_view Text) {
+  Function F = parseFunctionOrDie(Text);
+  std::vector<ExprKey> Exprs = collectCandidateExprs(F);
+  EXPECT_EQ(Exprs.size(), 1u);
+  std::vector<std::pair<ExprKey, VarId>> TempMap{{Exprs[0], F.findVar("t")}};
+  std::string Error;
+  if (checkReloadsFullyAvailable(F, TempMap, Error))
+    return "<accepted>";
+  return Error;
+}
+
+} // namespace
+
+TEST(DefinitionOneOracle, RejectsReloadWhereNeverComputed) {
+  // The else path reaches the reload without computing a + b.
+  EXPECT_EQ(definitionOneVerdict(R"(
+    func f(a, b, p) {
+    entry:
+      br p, l, r
+    l:
+      x = a + b
+      t = x
+      jmp j
+    r:
+      jmp j
+    j:
+      z = t
+      ret z
+    }
+  )"),
+            "expression 'a + b' not fully available at reload in block 'j': "
+            "z = t");
+}
+
+TEST(DefinitionOneOracle, RejectsReloadAfterOperandRedefinition) {
+  // a + b is computed on every path, but block k, which every path
+  // crosses, changes `a` before the reload.
+  EXPECT_EQ(definitionOneVerdict(R"(
+    func f(a, b) {
+    entry:
+      x = a + b
+      t = x
+      jmp k
+    k:
+      a = 7
+      jmp m
+    m:
+      z = t
+      ret z
+    }
+  )"),
+            "expression 'a + b' not fully available at reload in block 'm': "
+            "z = t");
+}
+
+TEST(DefinitionOneOracle, AcceptsCorrectPlacement) {
+  // The textbook diamond after PRE: the else path gets the insertion.
+  EXPECT_EQ(definitionOneVerdict(R"(
+    func f(a, b, p) {
+    entry:
+      br p, l, r
+    l:
+      x = a + b
+      t = x
+      jmp j
+    r:
+      t = a + b
+      jmp j
+    j:
+      z = t
+      ret z
+    }
+  )"),
+            "<accepted>");
 }

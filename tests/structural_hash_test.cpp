@@ -127,11 +127,11 @@ TEST(StructuralHash, PinnedCacheKeys) {
   PreOptions PO;
   PO.Strategy = PreStrategy::McSsaPre;
   PO.Prof = &NodeOnly;
-  EXPECT_EQ(compileCacheKey(F, PO).toHex(), "15242fd34cac37708f280e8d3d4491e0");
+  EXPECT_EQ(compileCacheKey(F, PO).toHex(), "60a6980a80d3890ec4ded376bd832374");
 
   PO.Strategy = PreStrategy::McPre;
   PO.Prof = &Prof;
-  EXPECT_EQ(compileCacheKey(F, PO).toHex(), "c84eb4307d7c0663ec4fa4ed9ae58b62");
+  EXPECT_EQ(compileCacheKey(F, PO).toHex(), "2e1a4901acbe179407962501c514413a");
 }
 
 TEST(StructuralHash, HexFormatIsHiThenLo) {

@@ -11,7 +11,6 @@
 //     --train=<a,b,...>     arguments for the profile-collection run
 //     --run=<a,b,...>       interpret the result and report costs
 //     --placement=<latest|earliest>   min-cut tie-breaking
-//     --mincut-algo=<dinic|ek>        max-flow solver (default dinic)
 //     --cleanup             run constant folding / copy prop / DCE after
 //     --gvn                 run dominator-scoped value numbering after
 //     --out-of-ssa          lower phis to copies (backend-ready output)
@@ -138,8 +137,7 @@ std::optional<std::vector<int64_t>> parseIntList(const std::string &S) {
 int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--strategy=S] [--train=a,b,...] [--run=a,b,...]\n"
-               "          [--placement=latest|earliest] "
-               "[--mincut-algo=dinic|ek]\n"
+               "          [--placement=latest|earliest]\n"
                "          [--lospre-max-width=N]\n"
                "          [--cleanup] [--stats]\n"
                "          [--objective=speed|size|speed-then-size] [--no-emit]\n"
@@ -197,13 +195,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Opts) {
         Req.Placement = CutPlacement::Earliest;
       else {
         std::fprintf(stderr, "error: bad --placement\n");
-        return false;
-      }
-    } else if (auto V = Value("--mincut-algo=")) {
-      if (!parseMaxFlowAlgorithm(V->c_str(), Req.Algo)) {
-        std::fprintf(stderr,
-                     "error: bad --mincut-algo (want dinic or "
-                     "edmonds-karp/ek)\n");
         return false;
       }
     } else if (auto V = Value("--objective=")) {
@@ -392,7 +383,7 @@ int writeSideChannels(const ToolOptions &Opts, const ServeFunctionView &V,
       Frg G(Ctx, EI);
       if (NodeProf && !E.canFault())
         computeSpeculativePlacement(G, *NodeProf, Opts.Req.Placement,
-                                    Opts.Req.Algo, Opts.Req.Objective);
+                                    Opts.Req.Objective);
       Out << frgToDot(G, NodeProf ? &*NodeProf : nullptr);
     }
   }
